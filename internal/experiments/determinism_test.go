@@ -2,6 +2,12 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"runtime"
 	"testing"
 
 	"capsim/internal/ooo"
@@ -76,6 +82,74 @@ func TestParallelDeterminism(t *testing.T) {
 			if ref[id] != got[id] {
 				t.Errorf("%s: render differs between %s and %s", id, passes[0].name, p.name)
 			}
+		}
+	}
+	checkRenderDigests(t, ref)
+}
+
+var update = flag.Bool("update", false,
+	"rewrite testdata/render_digests.json for this GOARCH from TestParallelDeterminism's serial pass")
+
+// digestFile pins the SHA-256 of every registry id's Render() at
+// TestParallelDeterminism's trimmed config, keyed by GOARCH (float
+// contraction differs across architectures, so one table cannot serve all).
+// Comparing two execution paths of the same tree cannot see a change that
+// shifts every path the same way; comparing against these committed digests
+// can. Regenerate only on purpose, with
+//
+//	go test ./internal/experiments -run ParallelDeterminism -update
+//
+// and say in CHANGES.md why the renders moved.
+const digestFile = "testdata/render_digests.json"
+
+func checkRenderDigests(t *testing.T, renders map[string]string) {
+	t.Helper()
+	got := map[string]string{}
+	for id, r := range renders {
+		sum := sha256.Sum256([]byte(r))
+		got[id] = hex.EncodeToString(sum[:])
+	}
+	pinned := map[string]map[string]string{}
+	raw, err := os.ReadFile(digestFile)
+	switch {
+	case err == nil:
+		if err := json.Unmarshal(raw, &pinned); err != nil {
+			t.Fatalf("%s: %v", digestFile, err)
+		}
+	case !os.IsNotExist(err) || !*update:
+		t.Fatalf("%s: %v", digestFile, err)
+	}
+	if *update {
+		pinned[runtime.GOARCH] = got
+		out, err := json.MarshalIndent(pinned, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(digestFile, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d render digests for GOARCH=%s to %s", len(got), runtime.GOARCH, digestFile)
+		return
+	}
+	want, ok := pinned[runtime.GOARCH]
+	if !ok {
+		t.Skipf("%s has no render digests for GOARCH=%s; pin them with "+
+			"`go test ./internal/experiments -run ParallelDeterminism -update`", digestFile, runtime.GOARCH)
+	}
+	for _, id := range IDs() {
+		switch w, ok := want[id]; {
+		case !ok:
+			t.Errorf("%s: no pinned render digest in %s", id, digestFile)
+		case w != got[id]:
+			t.Errorf("%s: render digest %s, pinned %s", id, got[id], w)
+		}
+	}
+	for id := range want {
+		if _, ok := got[id]; !ok {
+			t.Errorf("%s: pinned in %s but not in the registry", id, digestFile)
 		}
 	}
 }
