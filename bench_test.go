@@ -1,12 +1,12 @@
 package capsim
 
 import (
+	"context"
 	"testing"
 
 	"capsim/internal/cache"
 	"capsim/internal/core"
 	"capsim/internal/experiments"
-	"capsim/internal/ooo"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -130,19 +130,16 @@ func BenchmarkQueueIssue(b *testing.B) {
 	}
 }
 
-// --- One-pass vs legacy profiling (make bench-compare) --------------------
+// --- Profiling passes ----------------------------------------------------
 //
-// Each pair measures the identical profiling computation on the two source
-// paths: Onepass replays (and for the cache study, evaluates) the shared
-// materialized trace in one pass; Legacy regenerates every stream per
-// configuration cell, exactly as the pre-one-pass code did. trace.Reset()
-// inside the loop keeps every iteration cold, so Onepass pays its
-// materialization cost honestly.
+// trace.Reset() inside the loop keeps every iteration cold, so the one-pass
+// kernels pay their trace materialization cost honestly.
 
-func benchCacheProfile(b *testing.B, onepass bool) {
+// BenchmarkCacheProfile profiles all 8 paper boundaries for one application
+// via the one-pass MultiHierarchy engine.
+func BenchmarkCacheProfile(b *testing.B) {
 	bm := workload.MustByName("gcc")
-	defer func() { trace.SetEnabled(true); trace.Reset() }()
-	trace.SetEnabled(onepass)
+	defer trace.Reset()
 	p := cache.PaperParams()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -158,20 +155,11 @@ func benchCacheProfile(b *testing.B, onepass bool) {
 	}
 }
 
-// BenchmarkCacheProfileOnepass profiles all 8 paper boundaries for one
-// application via the one-pass MultiHierarchy engine.
-func BenchmarkCacheProfileOnepass(b *testing.B) { benchCacheProfile(b, true) }
-
-// BenchmarkCacheProfileLegacy is the same profile through 8 independent
-// machines, each regenerating the reference stream.
-func BenchmarkCacheProfileLegacy(b *testing.B) { benchCacheProfile(b, false) }
-
-func benchQueueProfile(b *testing.B, onepass bool, eng ooo.Engine) {
+// BenchmarkQueueProfile profiles all 8 queue sizes in one event-driven
+// MultiCore pass over the shared materialized instruction stream.
+func BenchmarkQueueProfile(b *testing.B) {
 	bm := workload.MustByName("gcc")
-	prev := ooo.DefaultEngine()
-	defer func() { trace.SetEnabled(true); trace.Reset(); ooo.SetDefaultEngine(prev) }()
-	trace.SetEnabled(onepass)
-	ooo.SetDefaultEngine(eng)
+	defer trace.Reset()
 	sizes := core.PaperQueueSizes()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -187,20 +175,67 @@ func benchQueueProfile(b *testing.B, onepass bool, eng ooo.Engine) {
 	}
 }
 
-// BenchmarkQueueProfileOnepass profiles all 8 queue sizes in one
-// event-driven MultiCore pass over the shared materialized instruction
-// stream — the default configuration.
-func BenchmarkQueueProfileOnepass(b *testing.B) { benchQueueProfile(b, true, ooo.EngineEvent) }
+// --- Policy studies: direct machines vs family replay (make bench-policy) --
+//
+// Both benchmarks run the same Section 6 cells — each interval-study
+// application with its candidate size pair × {fixed(0), fixed(1),
+// interval-adaptive} × switch penalty {0, 50, 200} — and reset the trace
+// stores and interval families every iteration, so each iteration is a cold
+// study. Direct simulates every cell on its own QueueMachine; Replay goes
+// through core.RunPolicyStudy, where fixed cells replay one shared interval
+// family per application (the family key excludes the penalty) and the
+// adaptive cell races alone. scripts/bench_policy.sh gates Direct/Replay
+// against the 1.5x floor.
 
-// BenchmarkQueueProfileLegacy regenerates the instruction stream per size
-// (event engine, independent machines).
-func BenchmarkQueueProfileLegacy(b *testing.B) { benchQueueProfile(b, false, ooo.EngineEvent) }
+var policyStudyApps = []struct {
+	app   string
+	sizes []int
+}{{"turb3d", []int{64, 128}}, {"vortex", []int{16, 64}}}
 
-// BenchmarkQueueProfileScanOnepass is the one-pass profile on the per-cycle
-// window-scan engine: isolates the MultiCore stream sharing from the
-// event-driven issue algorithm.
-func BenchmarkQueueProfileScanOnepass(b *testing.B) { benchQueueProfile(b, true, ooo.EngineScan) }
+const policyStudyIntervals, policyStudyN = 500, 2000
 
-// BenchmarkQueueProfileScanLegacy is the PR 2 baseline: scan engine,
-// per-configuration machines and streams.
-func BenchmarkQueueProfileScanLegacy(b *testing.B) { benchQueueProfile(b, false, ooo.EngineScan) }
+func benchPolicyStudy(b *testing.B, run func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error)) {
+	defer func() { core.ResetPolicyFamilies(); trace.Reset() }()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.ResetPolicyFamilies()
+		trace.Reset()
+		for _, a := range policyStudyApps {
+			bm := workload.MustByName(a.app)
+			for _, pen := range []int{0, 50, 200} {
+				for _, p := range []core.Policy{
+					core.FixedPolicy{Config: 0},
+					core.FixedPolicy{Config: 1},
+					&core.IntervalPolicy{Configs: []int{0, 1}},
+				} {
+					r, err := run(bm, a.sizes, p, pen)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if r.Instrs < policyStudyIntervals*policyStudyN {
+						b.Fatalf("%s/%s/pen=%d: %d instructions", a.app, p.Name(), pen, r.Instrs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPolicyStudyDirect runs every cell as RunQueue over a private
+// QueueMachine.
+func BenchmarkPolicyStudyDirect(b *testing.B) {
+	benchPolicyStudy(b, func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error) {
+		m, err := core.NewQueueMachine(bm, 1998, sizes, 0, pen, tech.Micron018)
+		if err != nil {
+			return core.RunResult{}, err
+		}
+		return core.RunQueue(m, p, policyStudyIntervals, policyStudyN, false), nil
+	})
+}
+
+// BenchmarkPolicyStudyReplay runs every cell through core.RunPolicyStudy.
+func BenchmarkPolicyStudyReplay(b *testing.B) {
+	benchPolicyStudy(b, func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error) {
+		return core.RunPolicyStudy(context.Background(), bm, 1998, sizes, p, policyStudyIntervals, policyStudyN, pen, tech.Micron018)
+	})
+}

@@ -8,8 +8,6 @@
 //	capsim -experiment all -cache-refs 2000000 -queue-instrs 1000000
 //	capsim -experiment all -parallel 8 -bench-json BENCH_sweep.json
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
-//	capsim -experiment fig7 -onepass=false   # legacy per-boundary oracle
-//	capsim -experiment fig10 -queue-engine scan   # per-cycle window-scan engine
 //	capsim -experiment all -trace-out run.trace.json   # Chrome trace timeline
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
 //	capsim -experiment all -serve :8417                # live expvar endpoint
@@ -21,13 +19,9 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
-// It is also byte-identical at either -onepass setting: the one-pass path
-// (default) profiles every cache boundary in a single replay of a shared
-// materialized trace, while -onepass=false re-generates every stream per
-// configuration cell; only wall time and memory differ. Likewise
-// -queue-engine selects between the event-driven issue-queue engine (default)
-// and the per-cycle window scan it replaces; the two are bit-identical in
-// every statistic and differ only in asymptotic cost. The telemetry flags
+// Renders are also pinned: internal/experiments/testdata/render_digests.json
+// holds the SHA-256 of every experiment's render at a test budget, and the
+// determinism test fails on any drift. The telemetry flags
 // (-obs, -trace-out, -metrics-out, -serve, -obs-assert) never change stdout
 // either: observability receives statistics, it does not feed them back (all
 // telemetry notices go to stderr; `make ci`'s bench-obs-smoke enforces the
@@ -51,7 +45,6 @@ import (
 	"capsim/internal/experiments"
 	"capsim/internal/flight"
 	"capsim/internal/obs"
-	"capsim/internal/ooo"
 	"capsim/internal/server"
 	"capsim/internal/sweep"
 	"capsim/internal/tech"
@@ -83,12 +76,10 @@ type benchRecord struct {
 // manifest (obs.Manifest) is a superset of this schema: shared field names
 // keep their meaning, so consumers of either file can parse both.
 type benchReport struct {
-	Generated   string `json:"generated"`
-	Command     string `json:"command"`
-	Parallel    int    `json:"parallel"`
-	Onepass     bool   `json:"onepass"`
-	QueueEngine string `json:"queue_engine"`
-	ObsEnabled  bool   `json:"obs_enabled"`
+	Generated  string `json:"generated"`
+	Command    string `json:"command"`
+	Parallel   int    `json:"parallel"`
+	ObsEnabled bool   `json:"obs_enabled"`
 	// Host metadata: identifies the machine and toolchain a record was
 	// measured on. scripts/bench_guard.sh compares only the command field,
 	// so these never make a record stale — they contextualize wall times
@@ -106,7 +97,7 @@ type benchReport struct {
 	// Trace-tier footprint at the end of the run: live (compressed) bytes
 	// across the materialized stores, what the same contents would occupy
 	// in the flat pre-compression layout, and their ratio (0 when no store
-	// was materialized, e.g. -onepass=false).
+	// was materialized).
 	TraceBudget   int64   `json:"trace_budget"`
 	TraceBytes    int64   `json:"trace_bytes"`
 	TraceRawBytes int64   `json:"trace_raw_bytes"`
@@ -164,9 +155,7 @@ func run() (err error) {
 		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-		onepass     = flag.Bool("onepass", true, "profile over the shared materialized trace in one pass (false = legacy per-configuration streams; output is identical either way)")
 		traceBudget = flag.Int64("trace-budget", 0, "materialized-trace byte ceiling; cold stores evict and regenerate on demand (0 = unbounded; output is identical at any setting)")
-		queueEngine = flag.String("queue-engine", "event", "issue-queue engine: 'event' (event-driven wakeup/select) or 'scan' (per-cycle window scan); output is identical either way")
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
@@ -221,13 +210,7 @@ func run() (err error) {
 	}
 
 	sweep.SetDefaultWorkers(*parallel)
-	trace.SetEnabled(*onepass)
 	trace.SetBudget(*traceBudget)
-	eng, err := ooo.ParseEngine(*queueEngine)
-	if err != nil {
-		return usageErr("%v", err)
-	}
-	ooo.SetDefaultEngine(eng)
 	experiments.SetStudyCacheBudget(*studyBudget)
 	if *studyCache != "" {
 		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {
@@ -304,9 +287,6 @@ func run() (err error) {
 				err = fmt.Errorf("-ledger-out: %w", cerr)
 			}
 		}()
-		if !*onepass {
-			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: the legacy (-onepass=false) policy path records no ledger events")
-		}
 		if *studyCache != "" {
 			fmt.Fprintln(os.Stderr, "capsim: -ledger-out: warm -study-cache rows skip simulation and record nothing; record from a cold cache for a complete ledger")
 		}
@@ -382,8 +362,6 @@ func run() (err error) {
 			"-interval", fmt.Sprint(*interval),
 			"-switch-penalty", fmt.Sprint(*penalty),
 			"-feature", fmt.Sprint(*feature),
-			fmt.Sprintf("-onepass=%v", *onepass),
-			"-queue-engine", *queueEngine,
 			"-trace-budget", fmt.Sprint(*traceBudget),
 			"-study-cache", *studyCache,
 			"-study-cache-budget", fmt.Sprint(*studyBudget),
@@ -399,8 +377,6 @@ func run() (err error) {
 		Generated:   time.Now().UTC().Format(time.RFC3339),
 		Command:     benchCommand(),
 		Parallel:    sweep.DefaultWorkers(),
-		Onepass:     *onepass,
-		QueueEngine: eng.String(),
 		ObsEnabled:  obsEnabled,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		NumCPU:      runtime.NumCPU(),
@@ -416,8 +392,6 @@ func run() (err error) {
 	manifest := obs.NewManifest()
 	manifest.Flags = flagMap()
 	manifest.Parallel = report.Parallel
-	manifest.Onepass = *onepass
-	manifest.QueueEngine = eng.String()
 	manifest.ObsEnabled = obsEnabled
 	manifest.Seed = cfg.Seed
 	manifest.CacheRefs = cfg.CacheRefs
@@ -484,7 +458,7 @@ func run() (err error) {
 		if err := os.WriteFile(*benchJSON, buf, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d experiments, parallel=%d)\n", *benchJSON, len(report.Experiments), report.Parallel)
+		fmt.Fprintf(os.Stderr, "capsim: wrote %s (%d experiments, parallel=%d)\n", *benchJSON, len(report.Experiments), report.Parallel)
 	}
 	if *metricsOut != "" {
 		manifest.Final = obs.TakeSnapshot()

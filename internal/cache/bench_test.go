@@ -81,8 +81,9 @@ func BenchmarkMultiHierarchyAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkIndependentBoundaries measures the legacy oracle's cost per
-// reference: 8 independent hierarchies each replaying the same stream.
+// BenchmarkIndependentBoundaries measures the per-boundary reference model's
+// cost per reference: 8 independent hierarchies each replaying the same
+// stream (what MultiHierarchy replaces).
 func BenchmarkIndependentBoundaries(b *testing.B) {
 	p := PaperParams()
 	hs := make([]*Hierarchy, 8)

@@ -25,14 +25,19 @@ var policyCases = []struct {
 // (RunPolicyStudy: family replay for fixed policies, the lockstep Race
 // engine for stateful ones) must charge the exact same reconfiguration
 // costs — drain stalls at the old clock, switch penalty at the old period —
-// as a direct private QueueMachine simulation. Equality is exact float64
+// as RunQueue over a private QueueMachine. Equality is exact float64
 // equality on every aggregate, including TimeNS (where a mischarged penalty
-// would surface even when TPI rounds identically).
+// would surface even when TPI rounds identically). Every application runs
+// one of the Section 6 size pairs, alternating.
 func TestMultiPolicyTransitionCosts(t *testing.T) {
 	ctx := context.Background()
 	intervals, n := int64(40), int64(2000)
-	for _, tc := range policyCases {
-		b := workload.MustByName(tc.app)
+	for ai, b := range queueApps() {
+		sizes := policyCases[ai%len(policyCases)].sizes
+		// One cold start per application; the penalties then share its
+		// interval family, as the experiment drivers do.
+		trace.Reset()
+		ResetPolicyFamilies()
 		for _, pen := range []int{-1, 0, 50, 200} {
 			policies := func() []Policy {
 				return []Policy{
@@ -46,25 +51,17 @@ func TestMultiPolicyTransitionCosts(t *testing.T) {
 				}
 			}
 			// Policies are stateful: build fresh instances for each path.
-			onePols, legPols := policies(), policies()
+			onePols, directPols := policies(), policies()
 			for pi := range onePols {
-				name := fmt.Sprintf("%s/pen=%d/%s", tc.app, pen, onePols[pi].Name())
-				trace.Reset()
-				ResetPolicyFamilies()
-				one, err := RunPolicyStudy(ctx, b, 1998, tc.sizes, onePols[pi], intervals, n, pen, tech.Micron018)
+				name := fmt.Sprintf("%s%v/pen=%d/%s", b.Name, sizes, pen, onePols[pi].Name())
+				one, err := RunPolicyStudy(ctx, b, 1998, sizes, onePols[pi], intervals, n, pen, tech.Micron018)
 				if err != nil {
 					t.Fatalf("%s onepass: %v", name, err)
 				}
-				var leg RunResult
-				withLegacy(func() {
-					leg, err = RunPolicyStudy(ctx, b, 1998, tc.sizes, legPols[pi], intervals, n, pen, tech.Micron018)
-				})
-				if err != nil {
-					t.Fatalf("%s legacy: %v", name, err)
-				}
-				if one.Policy != leg.Policy || one.Instrs != leg.Instrs || one.TimeNS != leg.TimeNS ||
-					one.TPI != leg.TPI || one.Switches != leg.Switches {
-					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n legacy:  %+v", name, one, leg)
+				direct := RunQueue(directQueueMachine(t, b, 1998, sizes, 0, pen), directPols[pi], intervals, n, false)
+				if one.Policy != direct.Policy || one.Instrs != direct.Instrs || one.TimeNS != direct.TimeNS ||
+					one.TPI != direct.TPI || one.Switches != direct.Switches {
+					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n direct:  %+v", name, one, direct)
 				}
 			}
 		}
@@ -109,14 +106,7 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 			&ProfileThenCommitPolicy{Configs: []int{0, 1}},
 		}
 		for j, p := range direct {
-			var leg RunResult
-			withLegacy(func() {
-				m, err := NewQueueMachine(b, 1998, tc.sizes, 0, 50, tech.Micron018)
-				if err != nil {
-					t.Fatal(err)
-				}
-				leg = RunQueue(m, p, intervals, n, false)
-			})
+			leg := RunQueue(directQueueMachine(t, b, 1998, tc.sizes, 0, 50), p, intervals, n, false)
 			r := raced[j]
 			if r.Policy != leg.Policy || r.Instrs != leg.Instrs || r.TimeNS != leg.TimeNS ||
 				r.TPI != leg.TPI || r.Switches != leg.Switches {
@@ -137,17 +127,17 @@ func TestIntervalFamilyExtension(t *testing.T) {
 	n := int64(2000)
 	trace.Reset()
 	ResetPolicyFamilies()
-	short, err := ProfileQueueTraces(ctx, b, 1998, sizes, 10, n, -1, tech.Micron018)
+	short, err := ProfileQueueTraces(ctx, b, 1998, sizes, 10, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("short: %v", err)
 	}
-	long, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, -1, tech.Micron018)
+	long, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("long: %v", err)
 	}
 	trace.Reset()
 	ResetPolicyFamilies()
-	cold, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, -1, tech.Micron018)
+	cold, err := ProfileQueueTraces(ctx, b, 1998, sizes, 25, n, tech.Micron018)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}

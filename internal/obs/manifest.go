@@ -11,7 +11,7 @@ import (
 
 // ManifestSchema versions the -metrics-out document. Bump on breaking shape
 // changes.
-const ManifestSchema = "capsim/run-manifest/v1"
+const ManifestSchema = "capsim/run-manifest/v2"
 
 // BuildInfo is the toolchain and VCS provenance of the running binary,
 // captured from runtime/debug.ReadBuildInfo. Fields are empty when the
@@ -76,8 +76,6 @@ type Manifest struct {
 	Build       BuildInfo         `json:"build"`
 	Flags       map[string]string `json:"flags,omitempty"`
 	Parallel    int               `json:"parallel"`
-	Onepass     bool              `json:"onepass"`
-	QueueEngine string            `json:"queue_engine"`
 	ObsEnabled  bool              `json:"obs_enabled"`
 	GOMAXPROCS  int               `json:"gomaxprocs"`
 	NumCPU      int               `json:"num_cpu"`

@@ -14,11 +14,11 @@
 //     coarse boundaries (end of a profile pass, an interval run, a sweep
 //     job), never per-reference or per-cycle.
 //  2. Disabled-mode cost must be noise. The whole package sits behind one
-//     process-wide switch (SetEnabled — same pointer-swap/atomic pattern as
-//     trace.SetEnabled): a disabled Counter.Add is one atomic bool load and
-//     a predicted branch, and the publication call sites run at most once
-//     per profile pass or interval, so `capsim` without any -obs flags pays
-//     nothing measurable (BENCH_obs.json records the A/B).
+//     process-wide switch (SetEnabled): a disabled Counter.Add is one
+//     atomic bool load and a predicted branch, and the publication call
+//     sites run at most once per profile pass or interval, so `capsim`
+//     without any -obs flags pays nothing measurable (BENCH_obs.json
+//     records the A/B).
 //  3. Hot concurrent writers must not false-share. Counters are striped
 //     across cache-line-padded lanes; writers with a natural identity (the
 //     sweep pool passes its worker index) land on distinct lines, everyone

@@ -1,9 +1,6 @@
 package ooo
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Engine selects the issue-queue simulation algorithm. Both engines produce
 // bit-identical Stats for any instruction stream and any schedule of Run,
@@ -14,12 +11,13 @@ import (
 //   - EngineScan: the direct priority-encoder model. Per cycle O(W)
 //     regardless of activity.
 //
-// cmd/capsim exposes the choice as -queue-engine for A/B verification and
-// benchmarking (renders are byte-identical across the settings).
+// Production cores run EngineEvent (New, NewMultiCore); EngineScan is reached
+// only through NewWithEngine, by the differential and fuzz tests that hold
+// the event engine to it.
 type Engine uint8
 
 const (
-	// EngineEvent is the event-driven wakeup/select engine (default).
+	// EngineEvent is the event-driven wakeup/select engine.
 	EngineEvent Engine = iota
 	// EngineScan is the per-cycle window-scan engine, kept as the
 	// executable specification the event engine is verified against.
@@ -37,26 +35,3 @@ func (e Engine) String() string {
 		return fmt.Sprintf("engine(%d)", uint8(e))
 	}
 }
-
-// ParseEngine maps the -queue-engine flag values to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event":
-		return EngineEvent, nil
-	case "scan":
-		return EngineScan, nil
-	default:
-		return 0, fmt.Errorf("ooo: unknown engine %q (want \"event\" or \"scan\")", s)
-	}
-}
-
-// defaultEngine is the process-wide engine used by New. The zero value is
-// EngineEvent, so the fast path is the default.
-var defaultEngine atomic.Uint32
-
-// SetDefaultEngine selects the engine New hands out process-wide
-// (cmd/capsim -queue-engine). Cores already constructed are unaffected.
-func SetDefaultEngine(e Engine) { defaultEngine.Store(uint32(e)) }
-
-// DefaultEngine reports the engine New currently hands out.
-func DefaultEngine() Engine { return Engine(defaultEngine.Load()) }

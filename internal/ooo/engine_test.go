@@ -10,35 +10,10 @@ import (
 // EngineScan are bit-identical in every statistic for any instruction stream
 // and any schedule of Run, RunWithLoads, Drain and Resize calls.
 
-func TestParseEngine(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want Engine
-	}{{"event", EngineEvent}, {"scan", EngineScan}} {
-		got, err := ParseEngine(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseEngine(%q) = %v, %v", c.in, got, err)
-		}
-		if got.String() != c.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), c.in)
-		}
-	}
-	if _, err := ParseEngine("calendar"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine")
-	}
-}
-
-func TestDefaultEngineSwitch(t *testing.T) {
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	SetDefaultEngine(EngineScan)
-	if c := MustNew(PaperConfig(16)); c.Engine() != EngineScan {
-		t.Errorf("New under scan default built %v", c.Engine())
-	}
-	SetDefaultEngine(EngineEvent)
-	if c := MustNew(PaperConfig(16)); c.Engine() != EngineEvent {
-		t.Errorf("New under event default built %v", c.Engine())
-	}
+// allApps is every workload stream the simulator serves: the paper's
+// registry plus the policy-zoo stress profiles.
+func allApps() []workload.Benchmark {
+	return append(workload.All(), workload.ZooApps()...)
 }
 
 // lcg is a deterministic latency generator for RunWithLoads differential
@@ -112,11 +87,13 @@ func TestEngineDifferentialRun(t *testing.T) {
 func TestEngineDifferentialSchedule(t *testing.T) {
 	// Runs interleaved with drains and resizes in both directions, plus
 	// RunWithLoads intervals: the full schedule surface the queue machines
-	// exercise.
-	bench, err := workload.ByName("turb3d")
-	if err != nil {
-		t.Fatal(err)
+	// exercise, on every application's stream.
+	for _, bench := range allApps() {
+		t.Run(bench.Name, func(t *testing.T) { engineSchedule(t, bench) })
 	}
+}
+
+func engineSchedule(t *testing.T, bench workload.Benchmark) {
 	p := newEnginePair(t, PaperConfig(64))
 	ss := workload.NewInstrStream(bench, 7)
 	es := workload.NewInstrStream(bench, 7)
@@ -292,37 +269,40 @@ func TestRunWithLoadsCarryOver(t *testing.T) {
 func TestMultiCoreDifferential(t *testing.T) {
 	// MultiCore per-core stats must be bit-identical to independent cores
 	// running private copies of the same stream — across multiple RunEach
-	// calls (continuation) and under both engines.
-	bench, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// calls (continuation), under both engines, on every application.
 	sizes := []int{16, 32, 48, 64, 80, 96, 112, 128}
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	for _, eng := range []Engine{EngineEvent, EngineScan} {
-		SetDefaultEngine(eng)
-		cfgs := make([]Config, len(sizes))
-		for i, w := range sizes {
-			cfgs[i] = PaperConfig(w)
-		}
-		mc, err := NewMultiCore(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := workload.NewInstrStream(bench, 33)
-		for round := 0; round < 3; round++ {
-			got := mc.RunEach(src, 5000)
+	cfgs := make([]Config, len(sizes))
+	for i, w := range sizes {
+		cfgs[i] = PaperConfig(w)
+	}
+	for _, bench := range allApps() {
+		for _, eng := range []Engine{EngineEvent, EngineScan} {
+			mc, err := newMultiCore(cfgs, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]*Core, len(cfgs))
+			refSrcs := make([]*workload.InstrStream, len(cfgs))
 			for i, cfg := range cfgs {
-				ref := MustNew(cfg)
-				refSrc := workload.NewInstrStream(bench, 33)
-				var want Stats
-				for r := 0; r <= round; r++ {
-					want = ref.Run(refSrc, 5000)
+				if refs[i], err = NewWithEngine(cfg, eng); err != nil {
+					t.Fatal(err)
 				}
-				if got[i] != want {
-					t.Fatalf("engine %v round %d W=%d: multicore %+v != independent %+v",
-						eng, round, cfg.WindowSize, got[i], want)
+				refSrcs[i] = workload.NewInstrStream(bench, 33)
+			}
+			src := workload.NewInstrStream(bench, 33)
+			for round := 0; round < 3; round++ {
+				got := mc.RunEach(src, 5000)
+				for i, cfg := range cfgs {
+					if want := refs[i].Run(refSrcs[i], 5000); got[i] != want {
+						t.Fatalf("%s engine %v round %d W=%d: multicore %+v != independent %+v",
+							bench.Name, eng, round, cfg.WindowSize, got[i], want)
+					}
+				}
+			}
+			for i, c := range mc.Cores() {
+				if c.Engine() != eng || c.Stats() != refs[i].Stats() {
+					t.Fatalf("%s engine %v W=%d: member core %v with cumulative %+v, want %+v",
+						bench.Name, eng, sizes[i], c.Engine(), c.Stats(), refs[i].Stats())
 				}
 			}
 		}
@@ -382,53 +362,51 @@ func TestRunEachWithLoadsDifferential(t *testing.T) {
 	// RunEachWithLoads must be bit-identical to independent RunWithLoads
 	// runs with the same per-core latency sources — same stats AND same
 	// memLat call sequence (the joint kernel's cache rows depend on the
-	// latter) — across interval splits and both engines.
-	bench, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// latter) — across interval splits, both engines and every application.
 	sizes := []int{16, 64, 128}
 	const rpi = 0.3
-	prev := DefaultEngine()
-	defer SetDefaultEngine(prev)
-	for _, eng := range []Engine{EngineEvent, EngineScan} {
-		SetDefaultEngine(eng)
-		cfgs := make([]Config, len(sizes))
-		for i, w := range sizes {
-			cfgs[i] = PaperConfig(w)
-		}
-		mc, err := NewMultiCore(cfgs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lats := make([]*lcg, len(sizes))
-		calls := make([]int64, len(sizes))
-		memLat := make([]func(bool) int64, len(sizes))
-		for i := range sizes {
-			l := &lcg{x: uint64(1000 + i)}
-			lats[i] = l
-			i := i
-			memLat[i] = func(w bool) int64 { calls[i]++; return l.memLat(w) }
-		}
-		src := workload.NewInstrStream(bench, 77)
-		for round := 0; round < 3; round++ {
-			got := mc.RunEachWithLoads(src, 4000, rpi, memLat)
+	cfgs := make([]Config, len(sizes))
+	for i, w := range sizes {
+		cfgs[i] = PaperConfig(w)
+	}
+	for _, bench := range allApps() {
+		for _, eng := range []Engine{EngineEvent, EngineScan} {
+			mc, err := newMultiCore(cfgs, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lats := make([]*lcg, len(sizes))
+			calls := make([]int64, len(sizes))
+			memLat := make([]func(bool) int64, len(sizes))
+			refs := make([]*Core, len(sizes))
+			refSrcs := make([]*workload.InstrStream, len(sizes))
+			refLats := make([]*lcg, len(sizes))
+			refCalls := make([]int64, len(sizes))
+			refMemLat := make([]func(bool) int64, len(sizes))
 			for i, cfg := range cfgs {
-				ref := MustNew(cfg)
-				refSrc := workload.NewInstrStream(bench, 77)
-				refLat := &lcg{x: uint64(1000 + i)}
-				var refCalls int64
-				var want Stats
-				for r := 0; r <= round; r++ {
-					want = ref.RunWithLoads(refSrc, 4000, rpi, func(w bool) int64 { refCalls++; return refLat.memLat(w) })
+				l, rl := &lcg{x: uint64(1000 + i)}, &lcg{x: uint64(1000 + i)}
+				lats[i], refLats[i] = l, rl
+				i := i
+				memLat[i] = func(w bool) int64 { calls[i]++; return l.memLat(w) }
+				refMemLat[i] = func(w bool) int64 { refCalls[i]++; return rl.memLat(w) }
+				if refs[i], err = NewWithEngine(cfg, eng); err != nil {
+					t.Fatal(err)
 				}
-				if got[i] != want {
-					t.Fatalf("engine %v round %d W=%d: multicore %+v != independent %+v",
-						eng, round, cfg.WindowSize, got[i], want)
-				}
-				if calls[i] != refCalls || lats[i].x != refLat.x {
-					t.Fatalf("engine %v round %d W=%d: load sequence diverged (%d vs %d calls)",
-						eng, round, cfg.WindowSize, calls[i], refCalls)
+				refSrcs[i] = workload.NewInstrStream(bench, 77)
+			}
+			src := workload.NewInstrStream(bench, 77)
+			for round := 0; round < 3; round++ {
+				got := mc.RunEachWithLoads(src, 4000, rpi, memLat)
+				for i, cfg := range cfgs {
+					want := refs[i].RunWithLoads(refSrcs[i], 4000, rpi, refMemLat[i])
+					if got[i] != want {
+						t.Fatalf("%s engine %v round %d W=%d: multicore %+v != independent %+v",
+							bench.Name, eng, round, cfg.WindowSize, got[i], want)
+					}
+					if calls[i] != refCalls[i] || lats[i].x != refLats[i].x {
+						t.Fatalf("%s engine %v round %d W=%d: load sequence diverged (%d vs %d calls)",
+							bench.Name, eng, round, cfg.WindowSize, calls[i], refCalls[i])
+					}
 				}
 			}
 		}

@@ -38,9 +38,13 @@ type MultiCore struct {
 // the per-round bookkeeping, small enough to stay cache-resident.
 const refillBatch = 1 << 12
 
-// NewMultiCore creates one core per configuration, all using the
-// process-default issue engine (see SetDefaultEngine).
-func NewMultiCore(cfgs []Config) (*MultiCore, error) {
+// NewMultiCore creates one core per configuration, all on the event-driven
+// issue engine.
+func NewMultiCore(cfgs []Config) (*MultiCore, error) { return newMultiCore(cfgs, EngineEvent) }
+
+// newMultiCore is NewMultiCore with an explicit issue engine, so the tests
+// can hold the shared-buffer logic to independent cores under both engines.
+func newMultiCore(cfgs []Config, e Engine) (*MultiCore, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("ooo: MultiCore needs at least one configuration")
 	}
@@ -51,7 +55,7 @@ func NewMultiCore(cfgs []Config) (*MultiCore, error) {
 		curs:  make([]workload.InstrSource, len(cfgs)),
 	}
 	for i, cfg := range cfgs {
-		c, err := New(cfg)
+		c, err := NewWithEngine(cfg, e)
 		if err != nil {
 			return nil, err
 		}

@@ -20,10 +20,10 @@
 //
 //   - EngineScan is the direct model: every cycle re-scans the whole window
 //     oldest-first, waking and selecting in one pass. Cost O(cycles · W).
-//   - EngineEvent (the default) is the event-driven equivalent: per-producer
-//     consumer lists fire wakeups the moment a producer's completion cycle
-//     becomes known, feeding a ready structure ordered so select pops
-//     oldest-first. Cost O(instructions · log W) — proportional to work
+//   - EngineEvent (what New builds) is the event-driven equivalent:
+//     per-producer consumer lists fire wakeups the moment a producer's
+//     completion cycle becomes known, feeding a ready structure ordered so
+//     select pops oldest-first. Cost O(instructions · log W) — proportional to work
 //     issued, not cycles × window. See event.go for the invariants that make
 //     it bit-identical to the scan.
 package ooo
@@ -179,9 +179,8 @@ func (s Stats) Sub(o Stats) Stats {
 	}
 }
 
-// New creates a core using the process-default issue engine (see
-// SetDefaultEngine; EngineEvent unless overridden).
-func New(cfg Config) (*Core, error) { return NewWithEngine(cfg, DefaultEngine()) }
+// New creates a core on the event-driven issue engine.
+func New(cfg Config) (*Core, error) { return NewWithEngine(cfg, EngineEvent) }
 
 // NewWithEngine creates a core with an explicit issue engine. Both engines
 // are bit-identical in every statistic; they differ only in asymptotic cost

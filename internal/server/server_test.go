@@ -125,9 +125,10 @@ func TestRunValidation(t *testing.T) {
 		{"unknown field", `{"experiment":"fig1a","bogus":1}`, http.StatusBadRequest},
 		{"negative parallel", `{"experiment":"fig1a","parallel":-1}`, http.StatusBadRequest},
 		{"tiny budget", `{"experiment":"fig10","cache_refs":10}`, http.StatusUnprocessableEntity},
-		{"bad engine", `{"experiment":"fig1a","queue_engine":"vliw"}`, http.StatusBadRequest},
-		{"onepass mismatch", `{"experiment":"fig1a","onepass":false}`, http.StatusUnprocessableEntity},
-		{"engine mismatch", `{"experiment":"fig1a","queue_engine":"scan"}`, http.StatusUnprocessableEntity},
+		// Execution-strategy switches no longer exist; the strict decoder
+		// rejects them like any other unknown field.
+		{"onepass field", `{"experiment":"fig1a","onepass":true}`, http.StatusBadRequest},
+		{"queue_engine field", `{"experiment":"fig1a","queue_engine":"event"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

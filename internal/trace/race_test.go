@@ -7,14 +7,13 @@ import (
 
 // TestEnabledResetRace exercises the lifecycle contract under the race
 // detector: goroutines replay ref/op/decoded cursors while another thread
-// flips SetEnabled, calls Reset, and toggles the byte budget. The contract
-// (see the package doc) says a cursor taken before a Reset keeps replaying
-// its orphaned store consistently, and SetEnabled only steers future *For
-// calls — so every replayed value must still be bit-identical to a private
-// generator, no matter how the lifecycle calls interleave.
+// calls Reset and toggles the byte budget. The contract (see the package
+// doc) says a cursor taken before a Reset keeps replaying its orphaned store
+// consistently, and an evicted store regenerates identical chunks — so every
+// replayed value must stay consistent with its source, no matter how the
+// lifecycle calls interleave.
 func TestEnabledResetRace(t *testing.T) {
-	defer func() { SetBudget(0); SetEnabled(true); Reset() }()
-	SetEnabled(true)
+	defer func() { SetBudget(0); Reset() }()
 	Reset()
 
 	b := bench(t, "gcc")
@@ -54,13 +53,12 @@ func TestEnabledResetRace(t *testing.T) {
 		}(uint64(100 + w))
 	}
 
-	// Lifecycle churn: enable/disable, Reset, budget squeeze.
+	// Lifecycle churn: Reset, budget squeeze.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-start
 		for i := 0; i < 200; i++ {
-			SetEnabled(i%2 == 0)
 			if i%10 == 0 {
 				Reset()
 			}
@@ -69,7 +67,6 @@ func TestEnabledResetRace(t *testing.T) {
 			} else {
 				SetBudget(0)
 			}
-			_ = Enabled()
 			_ = TotalBytes()
 			_ = TotalRawBytes()
 		}

@@ -173,35 +173,28 @@ func TestConcurrentCursors(t *testing.T) {
 	}
 }
 
-// TestSourceSelection checks the -onepass escape hatch: enabled hands out
-// shared-store cursors, disabled hands out private generators, and both
-// produce the identical stream.
+// TestSourceSelection checks that the *SourceFor constructors hand out
+// shared-store cursors yielding exactly the private generators' streams.
 func TestSourceSelection(t *testing.T) {
-	defer func() { SetEnabled(true); Reset() }()
+	defer Reset()
 	b := bench(t, "gcc")
-
-	SetEnabled(true)
-	if _, ok := RefSourceFor(b, 5).(*RefCursor); !ok {
-		t.Error("enabled path did not return a store cursor")
+	refs, ok := RefSourceFor(b, 5).(*RefCursor)
+	if !ok {
+		t.Fatal("RefSourceFor did not return a store cursor")
 	}
-	if _, ok := InstrSourceFor(b, 5).(*OpCursor); !ok {
-		t.Error("enabled path did not return an op cursor")
+	ops, ok := InstrSourceFor(b, 5).(*OpCursor)
+	if !ok {
+		t.Fatal("InstrSourceFor did not return an op cursor")
 	}
-	shared := RefSourceFor(b, 5)
-
-	SetEnabled(false)
-	if !Enabled() {
-		// Enabled() must report the switch.
-	} else {
-		t.Error("Enabled() still true after SetEnabled(false)")
-	}
-	if _, ok := RefSourceFor(b, 5).(*workload.AddressTrace); !ok {
-		t.Error("disabled path did not return a private generator")
-	}
-	private := RefSourceFor(b, 5)
-	for i := 0; i < 5000; i++ {
-		if a, b := shared.Next(), private.Next(); a != b {
-			t.Fatalf("ref %d: shared %+v != private %+v", i, a, b)
+	genRefs := workload.NewAddressTrace(b, 5)
+	genOps := workload.NewInstrStream(b, 5)
+	// Past one chunk boundary, so the cursors load a second chunk.
+	for i := 0; i < ChunkLen+5000; i++ {
+		if got, want := refs.Next(), genRefs.Next(); got != want {
+			t.Fatalf("ref %d: cursor %+v != generator %+v", i, got, want)
+		}
+		if got, want := ops.Next(), genOps.Next(); got != want {
+			t.Fatalf("instr %d: cursor %+v != generator %+v", i, got, want)
 		}
 	}
 }

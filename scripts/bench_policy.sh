@@ -1,57 +1,48 @@
 #!/bin/sh
-# bench_policy.sh — regenerate BENCH_policy.json (make bench-policy).
+# bench_policy.sh — the interval-policy replay engine's speed floor
+# (make bench-policy).
 #
-# Records the interval-policy replay engine's win on the Section 6 suite —
-# fig12, fig13 and the policy ablations (ablation-interval carries the
-# per-interval oracle, ablation-switch the penalty sweep) — two elements in
-# order:
+# Runs BenchmarkPolicyStudyDirect and BenchmarkPolicyStudyReplay (bench_test.go):
+# the same Section 6 cells — turb3d and vortex with their candidate size
+# pairs × {fixed(0), fixed(1), interval-adaptive} × switch penalty
+# {0, 50, 200} — simulated once on a private QueueMachine per cell (direct)
+# and once through core.RunPolicyStudy (replay: fixed cells replay one
+# shared interval family per application, the adaptive cell races alone).
+# Every iteration starts from cold trace stores and interval families.
 #
-#   1. direct — -onepass=false: every policy x penalty cell simulates its own
-#               private QueueMachine from a fresh stream.
-#   2. replay — -onepass=true: one MultiCore family pass per (app, sizes)
-#               materializes the per-interval (cycles, issued) columns; every
-#               fixed-policy cell, penalty point and oracle trace replays
-#               them through its own clock accounting, and stateful policies
-#               race in lockstep columns (core.MultiPolicy).
-#
-# All four ids run in ONE process per leg (-experiment takes a comma list),
-# so the replay leg's cross-driver reuse — the family key excludes the switch
-# penalty — is part of what is measured. Both legs run -parallel 1 so the
-# comparison is pure compute; renders go to /dev/null (byte identity is ci's
-# bench-policy-smoke gate). The replay element's trace_ratio field records
-# the compressed reference/instruction tier's footprint against its flat
-# equivalent (the classify_* fields stay 0 here: classification streams
-# serve the joint cache x queue kernel, not the queue-only interval suite).
-#
-# Fails unless the replay leg beats the direct leg by >= 1.5x — the
-# acceptance floor for the one-pass policy engine.
+# Each benchmark runs ROUNDS times, alternating direct and replay so host
+# speed drift hits both alike; the gate compares their median ns/op and
+# fails unless direct/replay >= 1.5 — the acceptance floor of the one-pass
+# policy engine. Byte identity of the two paths is a test, not part of this
+# script (internal/core TestMultiPolicyTransitionCosts).
 set -eu
 
 GO=${GO:-go}
-TMP=/tmp/capsim_bench_policy
-rm -rf "$TMP"
-mkdir -p "$TMP"
-B="-experiment fig12,fig13,ablation-interval,ablation-switch -parallel 1"
+ROUNDS=${ROUNDS:-5}
+OUT=$(mktemp -d)
+trap 'rm -rf "$OUT"' EXIT
 
-$GO run ./cmd/capsim $B -onepass=false -bench-json "$TMP/direct.json" >/dev/null
-$GO run ./cmd/capsim $B -onepass=true -bench-json "$TMP/replay.json" >/dev/null
+$GO test -c -o "$OUT/capsim.test" . >/dev/null
+i=0
+while [ "$i" -lt "$ROUNDS" ]; do
+	for leg in Direct Replay; do
+		"$OUT/capsim.test" -test.run '^$' -test.bench "^BenchmarkPolicyStudy$leg\$" \
+			-test.benchtime 1x -test.count 1 | awk -v leg="$leg" '$1 ~ /^BenchmarkPolicyStudy/ { print leg, $3 }' \
+			>> "$OUT/ns.txt"
+	done
+	i=$((i + 1))
+done
 
-{
-	printf '[\n'
-	cat "$TMP/direct.json"
-	printf ',\n'
-	cat "$TMP/replay.json"
-	printf ']\n'
-} > BENCH_policy.json
-
-direct=$(sed -n 's/^ *"total_wall_ns": *\([0-9]*\).*/\1/p' "$TMP/direct.json")
-replay=$(sed -n 's/^ *"total_wall_ns": *\([0-9]*\).*/\1/p' "$TMP/replay.json")
-ratio=$(sed -n 's/^ *"trace_ratio": *\([0-9.e+-]*\).*/\1/p' "$TMP/replay.json")
-echo "wrote BENCH_policy.json (direct ${direct}ns vs replay ${replay}ns, trace_ratio ${ratio:-n/a})"
-awk -v d="$direct" -v r="$replay" 'BEGIN {
+median() {
+	grep "^$1 " "$OUT/ns.txt" | awk '{ print $2 }' | sort -n |
+		awk '{ v[NR] = $1 } END { if (NR == 0) exit 1; print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+direct=$(median Direct)
+replay=$(median Replay)
+awk -v d="$direct" -v r="$replay" -v n="$ROUNDS" 'BEGIN {
 	if (r <= 0 || d / r < 1.5) {
-		printf "bench-policy: replay speedup %.2fx below the 1.5x floor\n", (r > 0 ? d / r : 0) > "/dev/stderr"
+		printf "bench-policy: replay speedup %.2fx below the 1.5x floor (median of %d: direct %.0f ns/op, replay %.0f ns/op)\n", (r > 0 ? d / r : 0), n, d, r > "/dev/stderr"
 		exit 1
 	}
-	printf "bench-policy: replay speedup %.2fx (floor 1.5x)\n", d / r
+	printf "bench-policy: replay speedup %.2fx (floor 1.5x; median of %d: direct %.0f ns/op, replay %.0f ns/op)\n", d / r, n, d, r
 }'
