@@ -32,39 +32,43 @@ var policyCases = []struct {
 func TestMultiPolicyTransitionCosts(t *testing.T) {
 	ctx := context.Background()
 	intervals, n := int64(40), int64(2000)
+	// Cold stores and families at the start; each application then builds
+	// its own family (the key includes the app) and its penalties share it,
+	// as the experiment drivers do.
+	trace.Reset()
+	ResetPolicyFamilies()
 	for ai, b := range queueApps() {
 		sizes := policyCases[ai%len(policyCases)].sizes
-		// One cold start per application; the penalties then share its
-		// interval family, as the experiment drivers do.
-		trace.Reset()
-		ResetPolicyFamilies()
-		for _, pen := range []int{-1, 0, 50, 200} {
-			policies := func() []Policy {
-				return []Policy{
-					FixedPolicy{Config: 0},
-					FixedPolicy{Config: 1},
-					&IntervalPolicy{Configs: []int{0, 1}},
-					&HysteresisPolicy{Configs: []int{0, 1}},
-					&PIDPolicy{Configs: []int{0, 1}},
-					&SlopeBanditPolicy{Configs: []int{0, 1}},
-					&ProfileThenCommitPolicy{Configs: []int{0, 1}},
+		t.Run(b.Name, func(t *testing.T) {
+			t.Parallel()
+			for _, pen := range []int{-1, 0, 50, 200} {
+				policies := func() []Policy {
+					return []Policy{
+						FixedPolicy{Config: 0},
+						FixedPolicy{Config: 1},
+						&IntervalPolicy{Configs: []int{0, 1}},
+						&HysteresisPolicy{Configs: []int{0, 1}},
+						&PIDPolicy{Configs: []int{0, 1}},
+						&SlopeBanditPolicy{Configs: []int{0, 1}},
+						&ProfileThenCommitPolicy{Configs: []int{0, 1}},
+					}
+				}
+				// Policies are stateful: build fresh instances for each path.
+				onePols, directPols := policies(), policies()
+				for pi := range onePols {
+					name := fmt.Sprintf("%s%v/pen=%d/%s", b.Name, sizes, pen, onePols[pi].Name())
+					one, err := RunPolicyStudy(ctx, b, 1998, sizes, onePols[pi], intervals, n, pen, tech.Micron018)
+					if err != nil {
+						t.Fatalf("%s onepass: %v", name, err)
+					}
+					direct := RunQueue(directQueueMachine(t, b, 1998, sizes, 0, pen), directPols[pi], intervals, n, false)
+					if one.Policy != direct.Policy || one.Instrs != direct.Instrs || one.TimeNS != direct.TimeNS ||
+						one.TPI != direct.TPI || one.Switches != direct.Switches {
+						t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n direct:  %+v", name, one, direct)
+					}
 				}
 			}
-			// Policies are stateful: build fresh instances for each path.
-			onePols, directPols := policies(), policies()
-			for pi := range onePols {
-				name := fmt.Sprintf("%s%v/pen=%d/%s", b.Name, sizes, pen, onePols[pi].Name())
-				one, err := RunPolicyStudy(ctx, b, 1998, sizes, onePols[pi], intervals, n, pen, tech.Micron018)
-				if err != nil {
-					t.Fatalf("%s onepass: %v", name, err)
-				}
-				direct := RunQueue(directQueueMachine(t, b, 1998, sizes, 0, pen), directPols[pi], intervals, n, false)
-				if one.Policy != direct.Policy || one.Instrs != direct.Instrs || one.TimeNS != direct.TimeNS ||
-					one.TPI != direct.TPI || one.Switches != direct.Switches {
-					t.Errorf("%s: replay diverged from direct simulation\n onepass: %+v\n direct:  %+v", name, one, direct)
-				}
-			}
-		}
+		})
 	}
 }
 
