@@ -23,8 +23,8 @@ import (
 // the other schedule. Run with -race to also certify the worker pool's and
 // the chunked stores' memory discipline across the full driver set.
 //
-// The reference implementations the production kernels replaced are held
-// to them below the registry: internal/core's *Onepass and
+// Below the registry, the production kernels are compared against their
+// reference implementations: internal/core's *Onepass and
 // TestMultiPolicyTransitionCosts differentials (direct machines) and
 // internal/ooo's engine differentials (EngineScan).
 func TestParallelDeterminism(t *testing.T) {
