@@ -275,6 +275,20 @@ func TestMultiCoreDifferential(t *testing.T) {
 	for i, w := range sizes {
 		cfgs[i] = PaperConfig(w)
 	}
+	// The production constructors must build the event engine; the scan
+	// engine is bit-identical, so only this check would see a regression.
+	if e := MustNew(PaperConfig(16)).Engine(); e != EngineEvent {
+		t.Fatalf("New built engine %v, want %v", e, EngineEvent)
+	}
+	prod, err := NewMultiCore(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range prod.Cores() {
+		if c.Engine() != EngineEvent {
+			t.Fatalf("NewMultiCore member W=%d built engine %v, want %v", sizes[i], c.Engine(), EngineEvent)
+		}
+	}
 	for _, bench := range allApps() {
 		for _, eng := range []Engine{EngineEvent, EngineScan} {
 			mc, err := newMultiCore(cfgs, eng)
