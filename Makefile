@@ -1,21 +1,13 @@
 # capsim build/test/bench entry points. `make ci` is the gate every change
-# must pass; `make bench` regenerates BENCH_sweep.json (serial vs parallel
-# full-evaluation runs, each in a fresh process so the study memos are cold);
-# `make bench-obs` regenerates BENCH_obs.json (obs-disabled vs obs-enabled
-# overhead on the fig7/fig10 profiling passes, plus the fig12
-# flight-recorder ledger-on/off x obs-on/off matrix); `make bench-shard`
-# regenerates BENCH_shard.json (the shard tier's scaling curve at 1/2/4/8
-# workers plus the persistent study cache's warm-vs-cold win); `make
-# bench-policy` gates the interval-family replay's speedup over direct
-# per-policy simulation (scripts/bench_policy.sh, floor 1.5x); `make
-# bench-zoo` regenerates BENCH_zoo.json (the policy-zoo league race, serial
-# vs 8-way parallel). Every BENCH_*.json record target refuses to overwrite a
-# record whose recorded command no longer matches the built flags
-# (scripts/bench_guard.sh); pass FORCE=1 to regenerate intentionally.
+# must pass; `make bench-shard` fails unless a run against a study cache
+# filled by static shards beats a cold run; `make bench-policy` gates the
+# interval-family replay's speedup over direct per-policy simulation
+# (scripts/bench_policy.sh, floor 1.5x). End-to-end benchmarking is
+# `bash capbench/run.sh` (capbench/README.md).
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench bench-obs bench-obs-smoke bench-shard bench-shard-smoke bench-policy bench-zoo bench-zoo-smoke serve-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci bench-obs-smoke bench-shard bench-shard-smoke bench-policy bench-zoo-smoke serve-smoke clean
 
 all: build
 
@@ -74,60 +66,6 @@ ci: fmt vet staticcheck build ci-race race bench-obs-smoke bench-shard-smoke ben
 serve-smoke:
 	@GO="$(GO)" sh scripts/serve_smoke.sh
 
-# bench writes BENCH_sweep.json: a two-element array holding the full
-# -experiment all evaluation measured at -parallel 1 and at -parallel 8,
-# with per-experiment wall time and allocation deltas. Compare
-# total_wall_ns between the elements for the sweep speedup (on a
-# single-core box the two legs tie — the pool adds no overhead — while the
-# parallel leg still exercises the full worker machinery).
-bench:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_sweep.json \
-		"capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_serial.json" \
-		"capsim -experiment all -parallel 8 -bench-json /tmp/capsim_bench_parallel.json"
-	$(GO) run ./cmd/capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_serial.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment all -parallel 8 -bench-json /tmp/capsim_bench_parallel.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_serial.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_parallel.json; printf ']\n'; } > BENCH_sweep.json
-	@echo "wrote BENCH_sweep.json"
-
-# bench-obs writes BENCH_obs.json: the fig7 (cache) and fig10 (queue)
-# profiling passes measured with telemetry disabled (the default) and
-# enabled (-obs plus a trace sink), plus the fig12 interval-trace pass
-# across the flight-recorder matrix (ledger-on/off x obs-on/off), each in a
-# fresh process from cold memos, all serial. The elements are distinguished
-# by their obs_enabled field and recorded command; compare total_wall_ns
-# within each figure pair for the overhead — the disabled-mode pair must be
-# within noise (<2%) of the seed, which is the subsystem's "zero-overhead
-# when off" contract, and the fig12 ledger-on legs must stay within 2% of
-# ledger-off.
-bench-obs:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_obs.json \
-		"capsim -experiment fig7 -parallel 1 -bench-json /tmp/capsim_bench_obs_f7_off.json" \
-		"capsim -experiment fig7 -parallel 1 -obs -trace-out /tmp/capsim_obs_f7.trace.json -bench-json /tmp/capsim_bench_obs_f7_on.json" \
-		"capsim -experiment fig10 -parallel 1 -bench-json /tmp/capsim_bench_obs_f10_off.json" \
-		"capsim -experiment fig10 -parallel 1 -obs -trace-out /tmp/capsim_obs_f10.trace.json -bench-json /tmp/capsim_bench_obs_f10_on.json" \
-		"capsim -experiment fig12 -parallel 1 -bench-json /tmp/capsim_bench_obs_f12_off.json" \
-		"capsim -experiment fig12 -parallel 1 -ledger-out /tmp/capsim_obs_f12.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_ledger.json" \
-		"capsim -experiment fig12 -parallel 1 -obs -bench-json /tmp/capsim_bench_obs_f12_obs.json" \
-		"capsim -experiment fig12 -parallel 1 -obs -ledger-out /tmp/capsim_obs_f12_both.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_both.json"
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -bench-json /tmp/capsim_bench_obs_f7_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig7 -parallel 1 -obs -trace-out /tmp/capsim_obs_f7.trace.json -bench-json /tmp/capsim_bench_obs_f7_on.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -bench-json /tmp/capsim_bench_obs_f10_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig10 -parallel 1 -obs -trace-out /tmp/capsim_obs_f10.trace.json -bench-json /tmp/capsim_bench_obs_f10_on.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -bench-json /tmp/capsim_bench_obs_f12_off.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -ledger-out /tmp/capsim_obs_f12.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_ledger.json >/dev/null 2>/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -obs -bench-json /tmp/capsim_bench_obs_f12_obs.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment fig12 -parallel 1 -obs -ledger-out /tmp/capsim_obs_f12_both.ledger.gz -bench-json /tmp/capsim_bench_obs_f12_both.json >/dev/null 2>/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_obs_f7_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f7_on.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f10_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f10_on.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_off.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_ledger.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_obs.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_obs_f12_both.json; printf ']\n'; } > BENCH_obs.json
-	@echo "wrote BENCH_obs.json"
-
 # bench-obs-smoke is the ci-gated variant: a tiny-budget fig10 run with
 # telemetry off and with every sink on (-obs -obs-assert, trace + manifest),
 # asserting byte-identical stdout renders (the timing footer is stripped; it
@@ -157,27 +95,21 @@ bench-obs-smoke:
 		{ echo "recorded ledger failed to parse back through -report"; exit 1; }
 	@echo "bench-obs smoke ok (renders byte-identical with obs/assert/trace/manifest/ledger on; ledger round-trips)"
 
-# bench-shard writes BENCH_shard.json (scripts/bench_shard.sh): the full
-# registry measured unsharded from cold, under -shard-coordinator 1/2/4/8
-# (each element's shard_wall_ns is the worker phase, total_wall_ns the
-# merge), and unsharded against the warm persistent study cache the last
-# shard leg left behind. The script fails if the warm leg does not beat
-# the cold one — the persistent cache's reason to exist.
+# bench-shard (scripts/bench_shard.sh) times the full registry unsharded
+# from cold, fills a study cache with static shards 0/2 and 1/2, then times
+# the full registry unsharded against that cache, reading total_wall_ns from
+# each run's -metrics-out manifest. It fails unless the warm run beats the
+# cold one — the persistent cache's reason to exist.
 bench-shard:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_shard.json \
-		"capsim -experiment all -parallel 1 -bench-json /tmp/capsim_bench_shard/cold.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 1 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard1.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 2 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard2.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 4 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard4.json" \
-		"capsim -experiment all -parallel 1 -shard-coordinator 8 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/shard8.json" \
-		"capsim -experiment all -parallel 1 -study-cache /tmp/capsim_bench_shard/cache -bench-json /tmp/capsim_bench_shard/warm.json"
 	@GO="$(GO)" sh scripts/bench_shard.sh
 
 # bench-shard-smoke is the ci-gated variant (scripts/shard_smoke.sh): a
-# tiny-budget fig10 proves static shards and coordinator mode both merge
-# byte-identical to an unsharded baseline, and that the merge served its
-# study rows from the shards' persistent cache (memo.persist_hits > 0,
-# zero misses, in the merge's run manifest).
+# tiny-budget fig10 proves static shards merge byte-identical to an
+# unsharded baseline, that each shard's run manifest records the rows it
+# published (memo.persist_writes > 0), that the merge served its study rows
+# from the shards' persistent cache (memo.persist_hits > 0, zero misses),
+# and that the removed coordinator and bench-report flags, and -shard under
+# -serve-api, exit 2.
 bench-shard-smoke:
 	@GO="$(GO)" sh scripts/shard_smoke.sh
 
@@ -189,25 +121,10 @@ bench-shard-smoke:
 bench-policy:
 	@GO="$(GO)" sh scripts/bench_policy.sh
 
-# bench-zoo writes BENCH_zoo.json: the full policy-zoo league race (every
-# contender + fixed baselines + oracle across the app x penalty grid, each
-# cell one study row) measured at -parallel 1 and at -parallel 8, each in a
-# fresh process so the study memos are cold. Compare total_wall_ns between
-# the elements for the cell fan-out speedup.
-bench-zoo:
-	@FORCE=$(FORCE) sh scripts/bench_guard.sh BENCH_zoo.json \
-		"capsim -experiment zoo -parallel 1 -bench-json /tmp/capsim_bench_zoo_serial.json" \
-		"capsim -experiment zoo -parallel 8 -bench-json /tmp/capsim_bench_zoo_parallel.json"
-	$(GO) run ./cmd/capsim -experiment zoo -parallel 1 -bench-json /tmp/capsim_bench_zoo_serial.json >/dev/null
-	$(GO) run ./cmd/capsim -experiment zoo -parallel 8 -bench-json /tmp/capsim_bench_zoo_parallel.json >/dev/null
-	{ printf '[\n'; cat /tmp/capsim_bench_zoo_serial.json; printf ',\n'; \
-	  cat /tmp/capsim_bench_zoo_parallel.json; printf ']\n'; } > BENCH_zoo.json
-	@echo "wrote BENCH_zoo.json"
-
-# bench-zoo-smoke is the ci-gated variant: a tiny-budget zoo run proving
-# the league render is byte-identical at 1 vs 4 workers and under a 2-way
-# shard coordinator merging through a fresh persistent study cache, and
-# that `capsim -report` over the ledger the run emits reproduces the league
+# bench-zoo-smoke: a tiny-budget zoo run proving the league render is
+# byte-identical at 1 vs 4 workers and when static shards 0/2 and 1/2 fill a
+# fresh persistent study cache that a plain run then merges, and that
+# `capsim -report` over the ledger the run emits reproduces the league
 # tables byte-for-byte (the experiment header and timing footer are
 # stripped, plus the blank separators the experiment renderer leaves before
 # its footer; every table byte must match).
@@ -220,10 +137,14 @@ bench-zoo-smoke:
 		{ echo "zoo rendered differently at 1 vs 4 workers"; exit 1; }
 	@rm -rf /tmp/capsim_zoo_smoke && mkdir -p /tmp/capsim_zoo_smoke
 	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
-		-shard-coordinator 2 -study-cache /tmp/capsim_zoo_smoke/cache \
+		-shard 0/2 -study-cache /tmp/capsim_zoo_smoke/cache 2>/dev/null
+	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
+		-shard 1/2 -study-cache /tmp/capsim_zoo_smoke/cache 2>/dev/null
+	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
+		-study-cache /tmp/capsim_zoo_smoke/cache \
 		| grep -v '^(zoo in ' > /tmp/capsim_zoo_shard.txt
 	@cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_shard.txt || \
-		{ echo "sharded zoo rendered differently from unsharded"; exit 1; }
+		{ echo "static-shard zoo merge rendered differently from unsharded"; exit 1; }
 	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
 		-ledger-out /tmp/capsim_zoo_smoke/zoo.ledger.gz 2>/dev/null \
 		> /tmp/capsim_zoo_direct_full.txt
@@ -237,20 +158,12 @@ bench-zoo-smoke:
 		> /tmp/capsim_zoo_report.txt
 	@cmp /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt || \
 		{ echo "capsim -report did not reproduce the zoo league tables"; exit 1; }
-	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and sharded vs unsharded; -report reproduces the league)"
+	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and static-shard merge vs unsharded; -report reproduces the league)"
 
 clean:
-	rm -f /tmp/capsim_bench_serial.json /tmp/capsim_bench_parallel.json \
-	  /tmp/capsim_bench_obs_f7_off.json /tmp/capsim_bench_obs_f7_on.json \
-	  /tmp/capsim_bench_obs_f10_off.json /tmp/capsim_bench_obs_f10_on.json \
-	  /tmp/capsim_obs_f7.trace.json /tmp/capsim_obs_f10.trace.json \
-	  /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
+	rm -f /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
 	  /tmp/capsim_obs_smoke.trace.json /tmp/capsim_obs_smoke.json \
-	  /tmp/capsim_bench_obs_f12_off.json /tmp/capsim_bench_obs_f12_ledger.json \
-	  /tmp/capsim_bench_obs_f12_obs.json /tmp/capsim_bench_obs_f12_both.json \
-	  /tmp/capsim_obs_f12.ledger.gz /tmp/capsim_obs_f12_both.ledger.gz \
 	  /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt /tmp/capsim_obs_smoke.ledger.gz \
-	  /tmp/capsim_bench_zoo_serial.json /tmp/capsim_bench_zoo_parallel.json \
 	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_shard.txt \
 	  /tmp/capsim_zoo_direct_full.txt /tmp/capsim_zoo_report_full.txt \
 	  /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt

@@ -6,7 +6,7 @@
 //	capsim -list
 //	capsim -experiment fig9
 //	capsim -experiment all -cache-refs 2000000 -queue-instrs 1000000
-//	capsim -experiment all -parallel 8 -bench-json BENCH_sweep.json
+//	capsim -experiment all -study-cache /tmp/studies -shard 0/2  # one static shard
 //	capsim -experiment fig7 -parallel 1 -cpuprofile fig7.pprof
 //	capsim -experiment all -trace-out run.trace.json   # Chrome trace timeline
 //	capsim -experiment all -metrics-out run.json       # run manifest + counters
@@ -30,9 +30,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -41,7 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"capsim/internal/classify"
 	"capsim/internal/experiments"
 	"capsim/internal/flight"
 	"capsim/internal/obs"
@@ -50,71 +49,6 @@ import (
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 )
-
-// benchCommand is the invocation recorded in -bench-json reports. argv[0]
-// is normalized to the bare binary name so records are comparable across
-// `go run` builds, whose temporary binary path changes with every compile
-// — `make bench` diffs this field against the flags it is about to run to
-// refuse silently overwriting a record with different semantics.
-func benchCommand() string {
-	return strings.Join(append([]string{"capsim"}, os.Args[1:]...), " ")
-}
-
-// benchRecord is one experiment's measured cost for -bench-json.
-type benchRecord struct {
-	ID     string `json:"id"`
-	Title  string `json:"title"`
-	WallNS int64  `json:"wall_ns"`
-	// Allocs and AllocBytes are process-wide deltas over the experiment
-	// (runtime.ReadMemStats), so they attribute every allocation made by the
-	// experiment's goroutines, including the sweep workers.
-	Allocs     uint64 `json:"allocs"`
-	AllocBytes uint64 `json:"alloc_bytes"`
-}
-
-// benchReport is the top-level -bench-json document. The -metrics-out
-// manifest (obs.Manifest) is a superset of this schema: shared field names
-// keep their meaning, so consumers of either file can parse both.
-type benchReport struct {
-	Generated  string `json:"generated"`
-	Command    string `json:"command"`
-	Parallel   int    `json:"parallel"`
-	ObsEnabled bool   `json:"obs_enabled"`
-	// Host metadata: identifies the machine and toolchain a record was
-	// measured on. scripts/bench_guard.sh compares only the command field,
-	// so these never make a record stale — they contextualize wall times
-	// (a record from a different host is comparable in shape, not speed).
-	GOMAXPROCS  int           `json:"gomaxprocs"`
-	NumCPU      int           `json:"num_cpu"`
-	GoVersion   string        `json:"go_version"`
-	GOOS        string        `json:"goos"`
-	GOARCH      string        `json:"goarch"`
-	Seed        uint64        `json:"seed"`
-	CacheRefs   int64         `json:"cache_refs"`
-	QueueInstrs int64         `json:"queue_instrs"`
-	Experiments []benchRecord `json:"experiments"`
-	TotalWallNS int64         `json:"total_wall_ns"`
-	// Trace-tier footprint at the end of the run: live (compressed) bytes
-	// across the materialized stores, what the same contents would occupy
-	// in the flat pre-compression layout, and their ratio (0 when no store
-	// was materialized).
-	TraceBudget   int64   `json:"trace_budget"`
-	TraceBytes    int64   `json:"trace_bytes"`
-	TraceRawBytes int64   `json:"trace_raw_bytes"`
-	TraceRatio    float64 `json:"trace_ratio"`
-	// Classification-tier footprint, same convention: encoded RLE+varint
-	// bytes across materialized class streams against the flat
-	// one-byte-per-class equivalent.
-	ClassifyBytes    int64   `json:"classify_bytes"`
-	ClassifyRawBytes int64   `json:"classify_raw_bytes"`
-	ClassifyRatio    float64 `json:"classify_ratio"`
-	// Shard coordinator runs: worker count and the wall time the worker
-	// phase took before the merge. The per-experiment records above then
-	// measure only the merge (every row a warm-cache hit), so end-to-end
-	// wall is shard_wall_ns + total_wall_ns.
-	Shards      int   `json:"shards,omitempty"`
-	ShardWallNS int64 `json:"shard_wall_ns,omitempty"`
-}
 
 // main is a thin shell around run: all error paths return through run's
 // single exit point so every deferred cleanup — pprof.StopCPUProfile, the
@@ -159,11 +93,7 @@ func run() (err error) {
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
-		shardCoord  = flag.Int("shard-coordinator", 0, "spawn N worker processes over the work-claiming protocol, then render the merge (requires -study-cache; output is byte-identical to an unsharded run)")
-		shardBucket = flag.Int("shard-buckets", 0, "shard-coordinator: bucket-space size (default 4N, so fast workers absorb slow workers' tail)")
-		shardClaim  = flag.String("shard-claim", "", "run as dynamic shard worker claiming buckets from this coordinator URL until exhausted (requires -study-cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		benchJSON   = flag.String("bench-json", "", "write per-experiment wall time and allocation deltas as JSON to this file")
 		ledgerOut   = flag.String("ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
 		reportIn    = flag.String("report", "", "offline ledger analysis: read comma-separated ledger/manifest files, print regret, switch-rate and dwell tables, and exit (no simulation)")
 		obsOn       = flag.Bool("obs", false, "enable telemetry counters (implied by -metrics-out and -serve)")
@@ -217,8 +147,27 @@ func run() (err error) {
 			return fmt.Errorf("-study-cache: %w", err)
 		}
 	}
-	if (*shardSpec != "" && (*shardCoord > 0 || *shardClaim != "")) || (*shardCoord > 0 && *shardClaim != "") {
-		return usageErr("-shard, -shard-coordinator and -shard-claim are mutually exclusive")
+	// A static shard runs the ordinary per-id loop below with only the study
+	// rows bucket i of N owns computed and published to the study cache. Its
+	// renders are full of stubs, so they are discarded and stdout stays
+	// empty; the merge is a plain run against the warm cache.
+	out := io.Writer(os.Stdout)
+	if *shardSpec != "" {
+		if *serveAPI != "" {
+			return usageErr("-shard and -serve-api are mutually exclusive")
+		}
+		sh, err := sweep.ParseShard(*shardSpec)
+		if err != nil {
+			return usageErr("%v", err)
+		}
+		if experiments.StudyCacheDir() == "" {
+			return usageErr("-shard requires -study-cache DIR: a shard's output lives in the shared study cache")
+		}
+		if err := sweep.SetShard(sh); err != nil {
+			return usageErr("%v", err)
+		}
+		defer sweep.ClearShard()
+		out = io.Discard
 	}
 
 	// Telemetry switches. Counters are free when off; -metrics-out and
@@ -336,75 +285,21 @@ func run() (err error) {
 		ids = experiments.IDs()
 	}
 
-	// Shard modes. Workers (-shard, -shard-claim) publish owned study rows
-	// to the shared study cache and render nothing; the coordinator waits for
-	// its workers and then falls through to the normal render loop below —
-	// which IS the merge: every row hits the warm cache and stdout is
-	// byte-identical to a single-process run.
-	if *shardClaim != "" {
-		return shardClaimMode(*shardClaim, ids, cfg)
+	var manifest obs.Manifest
+	if *metricsOut != "" {
+		manifest = obs.NewManifest()
+		manifest.Flags = flagMap()
+		manifest.Parallel = sweep.DefaultWorkers()
+		manifest.ObsEnabled = obsEnabled
+		manifest.Seed = cfg.Seed
+		manifest.CacheRefs = cfg.CacheRefs
+		manifest.QueueInstrs = cfg.QueueInstrs
 	}
-	if *shardSpec != "" {
-		return shardWorkerMode(*shardSpec, ids, cfg)
-	}
-	var shardWall time.Duration
-	if *shardCoord > 0 {
-		workerParallel := *parallel / *shardCoord
-		if workerParallel < 1 {
-			workerParallel = 1
-		}
-		commonArgs := []string{
-			"-experiment", *experiment,
-			"-seed", fmt.Sprint(*seed),
-			"-cache-refs", fmt.Sprint(*cacheRefs),
-			"-cache-warm", fmt.Sprint(*cacheWarm),
-			"-queue-instrs", fmt.Sprint(*queueInstrs),
-			"-interval", fmt.Sprint(*interval),
-			"-switch-penalty", fmt.Sprint(*penalty),
-			"-feature", fmt.Sprint(*feature),
-			"-trace-budget", fmt.Sprint(*traceBudget),
-			"-study-cache", *studyCache,
-			"-study-cache-budget", fmt.Sprint(*studyBudget),
-		}
-		shardStart := time.Now()
-		if err := shardCoordinate(*shardCoord, *shardBucket, workerParallel, commonArgs); err != nil {
-			return err
-		}
-		shardWall = time.Since(shardStart)
-	}
-
-	report := benchReport{
-		Generated:   time.Now().UTC().Format(time.RFC3339),
-		Command:     benchCommand(),
-		Parallel:    sweep.DefaultWorkers(),
-		ObsEnabled:  obsEnabled,
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		NumCPU:      runtime.NumCPU(),
-		GoVersion:   runtime.Version(),
-		GOOS:        runtime.GOOS,
-		GOARCH:      runtime.GOARCH,
-		Seed:        cfg.Seed,
-		CacheRefs:   cfg.CacheRefs,
-		QueueInstrs: cfg.QueueInstrs,
-		Shards:      *shardCoord,
-		ShardWallNS: shardWall.Nanoseconds(),
-	}
-	manifest := obs.NewManifest()
-	manifest.Flags = flagMap()
-	manifest.Parallel = report.Parallel
-	manifest.ObsEnabled = obsEnabled
-	manifest.Seed = cfg.Seed
-	manifest.CacheRefs = cfg.CacheRefs
-	manifest.QueueInstrs = cfg.QueueInstrs
-
-	measure := *benchJSON != "" || *metricsOut != ""
 	var before, after runtime.MemStats
 	for _, id := range ids {
 		var snapBefore obs.Snapshot
-		if measure {
-			runtime.ReadMemStats(&before)
-		}
 		if *metricsOut != "" {
+			runtime.ReadMemStats(&before)
 			snapBefore = obs.TakeSnapshot()
 		}
 		start := time.Now()
@@ -413,53 +308,24 @@ func run() (err error) {
 			return err
 		}
 		wall := time.Since(start)
-		fmt.Print(res.Render())
-		fmt.Printf("(%s in %.1fs)\n\n", id, wall.Seconds())
-		if measure {
+		fmt.Fprint(out, res.Render())
+		fmt.Fprintf(out, "(%s in %.1fs)\n\n", id, wall.Seconds())
+		if *metricsOut != "" {
 			runtime.ReadMemStats(&after)
 			title, _ := experiments.Title(id)
-			rec := benchRecord{
-				ID:         id,
-				Title:      title,
-				WallNS:     wall.Nanoseconds(),
-				Allocs:     after.Mallocs - before.Mallocs,
-				AllocBytes: after.TotalAlloc - before.TotalAlloc,
-			}
-			report.Experiments = append(report.Experiments, rec)
-			report.TotalWallNS += wall.Nanoseconds()
-			if *metricsOut != "" {
-				manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
-					ID: rec.ID, Title: rec.Title, WallNS: rec.WallNS,
-					Allocs: rec.Allocs, AllocBytes: rec.AllocBytes,
-					Counters: obs.TakeSnapshot().DiffCounters(snapBefore),
-				})
-				manifest.TotalWallNS += rec.WallNS
-			}
+			manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
+				ID: id, Title: title, WallNS: wall.Nanoseconds(),
+				Allocs: after.Mallocs - before.Mallocs, AllocBytes: after.TotalAlloc - before.TotalAlloc,
+				Counters: obs.TakeSnapshot().DiffCounters(snapBefore),
+			})
+			manifest.TotalWallNS += wall.Nanoseconds()
 		}
+	}
+	if *shardSpec != "" {
+		fmt.Fprintf(os.Stderr, "capsim: shard %s published its rows of %d experiments to %s\n",
+			*shardSpec, len(ids), experiments.StudyCacheDir())
 	}
 
-	if *benchJSON != "" {
-		report.TraceBudget = trace.Budget()
-		report.TraceBytes = trace.TotalBytes()
-		report.TraceRawBytes = trace.TotalRawBytes()
-		if report.TraceRawBytes > 0 {
-			report.TraceRatio = float64(report.TraceBytes) / float64(report.TraceRawBytes)
-		}
-		report.ClassifyBytes = classify.TotalBytes()
-		report.ClassifyRawBytes = classify.TotalRawBytes()
-		if report.ClassifyRawBytes > 0 {
-			report.ClassifyRatio = float64(report.ClassifyBytes) / float64(report.ClassifyRawBytes)
-		}
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			return err
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*benchJSON, buf, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "capsim: wrote %s (%d experiments, parallel=%d)\n", *benchJSON, len(report.Experiments), report.Parallel)
-	}
 	if *metricsOut != "" {
 		manifest.Final = obs.TakeSnapshot()
 		if err := manifest.WriteFile(*metricsOut); err != nil {

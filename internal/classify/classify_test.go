@@ -6,6 +6,7 @@ import (
 
 	"capsim/internal/cache"
 	"capsim/internal/memo"
+	"capsim/internal/obs"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
 )
@@ -144,8 +145,11 @@ func TestClassLevel(t *testing.T) {
 // TestStreamForAgainstStats decodes a real application's stream end-to-end
 // and requires the class census at every boundary to reproduce the hierarchy
 // counters of an independent MultiHierarchy replay: hits, swaps, structure
-// misses and writebacks all follow from the four classes.
+// misses and writebacks all follow from the four classes. Telemetry is on so
+// the tier's byte gauges can be checked against the one stream.
 func TestStreamForAgainstStats(t *testing.T) {
+	defer obs.SetEnabled(obs.Enabled())
+	obs.SetEnabled(true)
 	defer Reset()
 	Reset()
 	b, err := workload.ByName("gcc")
@@ -187,8 +191,8 @@ func TestStreamForAgainstStats(t *testing.T) {
 	if s.Bytes() <= 0 || s.RawBytes() != nrefs*maxB {
 		t.Fatalf("byte accounting: enc=%d raw=%d", s.Bytes(), s.RawBytes())
 	}
-	if TotalBytes() != s.Bytes() || TotalRawBytes() != s.RawBytes() {
-		t.Fatalf("tier totals (%d,%d) != stream (%d,%d)", TotalBytes(), TotalRawBytes(), s.Bytes(), s.RawBytes())
+	if obsBytes.Value() != s.Bytes() || obsRawGag.Value() != s.RawBytes() {
+		t.Fatalf("tier gauges (%d,%d) != stream (%d,%d)", obsBytes.Value(), obsRawGag.Value(), s.Bytes(), s.RawBytes())
 	}
 	if s.Bytes()*4 > s.RawBytes() {
 		t.Fatalf("compression ratio %.2f worse than 0.25x raw", float64(s.Bytes())/float64(s.RawBytes()))

@@ -64,11 +64,9 @@ type ExperimentRecord struct {
 	Counters   map[string]int64 `json:"counters,omitempty"`
 }
 
-// Manifest is the -metrics-out run document. It is a superset of the
-// pre-obs -bench-json schema (generated/command/parallel/…/experiments/
-// total_wall_ns keep their names and meaning), so existing consumers of
-// -bench-json parse either file; the additions are the schema tag, build
-// provenance, the full flag map, and the final metric snapshot.
+// Manifest is the -metrics-out run document, capsim's one run report:
+// invocation, build provenance, the full flag map, host parallelism,
+// per-experiment wall/alloc/counter deltas, and the final metric snapshot.
 type Manifest struct {
 	Schema      string            `json:"schema"`
 	Generated   string            `json:"generated"`

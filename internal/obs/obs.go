@@ -17,16 +17,14 @@
 //     process-wide switch (SetEnabled): a disabled Counter.Add is one
 //     atomic bool load and a predicted branch, and the publication call
 //     sites run at most once per profile pass or interval, so `capsim`
-//     without any -obs flags pays nothing measurable (BENCH_obs.json
-//     records the A/B).
+//     without any -obs flags pays nothing measurable.
 //  3. Hot concurrent writers must not false-share. Counters are striped
 //     across cache-line-padded lanes; writers with a natural identity (the
 //     sweep pool passes its worker index) land on distinct lines, everyone
 //     else uses lane 0.
 //
 // cmd/capsim exposes the subsystem as -metrics-out (run manifest),
-// -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only,
-// e.g. to feed -bench-json counter deltas).
+// -trace-out (Chrome trace), -serve (live endpoint) and -obs (counters only).
 package obs
 
 import (

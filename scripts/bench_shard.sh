@@ -1,61 +1,40 @@
 #!/bin/sh
-# bench_shard.sh — regenerate BENCH_shard.json (make bench-shard).
+# bench_shard.sh — persistent study cache gate (make bench-shard).
 #
-# Records the shard tier's scaling curve and the persistent study cache's
-# warm-vs-cold win on the full experiment registry, six elements in order:
+# Times the full experiment registry three ways, all at -parallel 1 so the
+# comparison is pure cache effect:
 #
-#   1. cold        — unsharded `-experiment all`, no study cache: the
-#                    single-process reference cost.
-#   2-5. shards=N  — `-shard-coordinator N` for N in 1 2 4 8, each against a
-#                    fresh cache: shard_wall_ns is the worker phase (the
-#                    distributed compute), total_wall_ns the merge (every row
-#                    a warm-cache hit); end-to-end is their sum. On a
-#                    single-core box the curve records process overhead —
-#                    the workers time-slice one core — while a multi-core
-#                    box sees the worker phase shrink with N.
-#   6. warm        — unsharded `-experiment all` against the cache the
-#                    shards=8 leg left behind: every study row is reused
-#                    from disk, so total_wall_ns must beat the cold leg by
-#                    a wide margin (the acceptance criterion).
+#   1. cold  — unsharded `-experiment all`, no study cache: the
+#              single-process reference cost.
+#   2. fill  — static shards `-shard 0/2` and `-shard 1/2` publish every
+#              study row to a fresh cache (not timed).
+#   3. warm  — unsharded `-experiment all` against that cache: every study
+#              row is reused from disk, so it must beat the cold leg.
 #
-# All legs run -parallel 1 so the comparison is pure shard/cache effect.
-# Renders go to /dev/null: the byte-identity of shard merges is ci's
-# bench-shard-smoke gate, not this benchmark's job.
+# Wall times are total_wall_ns from each timed run's -metrics-out manifest;
+# no record file is written. Renders go to /dev/null: the byte-identity of
+# shard merges is ci's bench-shard-smoke gate, not this benchmark's job.
+# Requires: go, jq. Writes only under /tmp.
 set -eu
 
 GO=${GO:-go}
 TMP=/tmp/capsim_bench_shard
 rm -rf "$TMP"
 mkdir -p "$TMP"
+BIN="$TMP/capsim"
 B="-experiment all -parallel 1"
 
-$GO run ./cmd/capsim $B -bench-json "$TMP/cold.json" >/dev/null
+$GO build -o "$BIN" ./cmd/capsim
 
-for n in 1 2 4 8; do
-	rm -rf "$TMP/cache"
-	$GO run ./cmd/capsim $B -shard-coordinator "$n" -study-cache "$TMP/cache" \
-		-bench-json "$TMP/shard$n.json" >/dev/null 2>"$TMP/shard$n.log"
+"$BIN" $B -metrics-out "$TMP/cold.json" >/dev/null 2>&1
+for i in 0 1; do
+	"$BIN" $B -shard $i/2 -study-cache "$TMP/cache" 2>/dev/null
 done
+"$BIN" $B -study-cache "$TMP/cache" -metrics-out "$TMP/warm.json" >/dev/null 2>&1
 
-# The shards=8 leg's cache is still warm: the reuse leg renders everything
-# from it without recomputing a single study row.
-$GO run ./cmd/capsim $B -study-cache "$TMP/cache" -bench-json "$TMP/warm.json" >/dev/null
-
-{
-	printf '[\n'
-	cat "$TMP/cold.json"
-	for n in 1 2 4 8; do
-		printf ',\n'
-		cat "$TMP/shard$n.json"
-	done
-	printf ',\n'
-	cat "$TMP/warm.json"
-	printf ']\n'
-} > BENCH_shard.json
-
-cold=$(sed -n 's/^ *"total_wall_ns": *\([0-9]*\).*/\1/p' "$TMP/cold.json")
-warm=$(sed -n 's/^ *"total_wall_ns": *\([0-9]*\).*/\1/p' "$TMP/warm.json")
-echo "wrote BENCH_shard.json (cold ${cold}ns vs warm ${warm}ns unsharded)"
+cold=$(jq -r '.total_wall_ns' "$TMP/cold.json")
+warm=$(jq -r '.total_wall_ns' "$TMP/warm.json")
+echo "bench-shard: cold ${cold}ns vs warm ${warm}ns unsharded"
 [ "$warm" -lt "$cold" ] || {
 	echo "bench-shard: warm-cache run did not beat cold ($warm >= $cold)" >&2
 	exit 1

@@ -7,12 +7,14 @@
 #      (each publishing only its owned study rows to a shared persistent
 #      cache) and then merging — a plain run against the warm cache —
 #      renders byte-identical to a never-sharded baseline.
+#      Each shard writes its own run manifest, which records the rows it
+#      published (memo.persist_writes > 0).
 #   2. The merge actually reused the shards' work: its run manifest shows
 #      memo.persist_hits > 0 and memo.persist_misses == 0 (every study row
 #      was served from the cache, none recomputed).
-#   3. Coordinator mode: `-shard-coordinator 2` (spawned workers claiming
-#      buckets over the work-claiming HTTP protocol, then merging in-process)
-#      also renders byte-identical to the baseline.
+#   3. Removed flags stay removed: the retired shard coordinator and the
+#      one-shot bench report are usage errors (exit 2), not silent aliases.
+#      So is -shard under -serve-api, which has no per-id loop to shard.
 #
 # The CLI's timing footer is the only line stripped from comparisons (same
 # idiom as bench-obs-smoke). Requires: go, jq. Writes only under /tmp.
@@ -36,13 +38,15 @@ $GO build -o "$BIN" ./cmd/capsim
 "$BIN" -experiment fig10 $B | grep -v '^(fig10 in ' > "$TMP/base.txt"
 
 # --- 1. static shards + merge ----------------------------------------------
-"$BIN" -experiment fig10 $B -shard 0/2 -study-cache "$TMP/static" 2>/dev/null \
-	> "$TMP/shard0.txt"
-"$BIN" -experiment fig10 $B -shard 1/2 -study-cache "$TMP/static" 2>/dev/null \
-	> "$TMP/shard1.txt"
-# Shard workers render nothing: stdout is reserved for the merge.
-[ -s "$TMP/shard0.txt" ] && fail "static shard 0/2 wrote to stdout"
-[ -s "$TMP/shard1.txt" ] && fail "static shard 1/2 wrote to stdout"
+for i in 0 1; do
+	"$BIN" -experiment fig10 $B -shard $i/2 -study-cache "$TMP/static" \
+		-metrics-out "$TMP/shard$i.manifest.json" 2>/dev/null > "$TMP/shard$i.txt"
+	# Shard workers render nothing: stdout is reserved for the merge.
+	[ -s "$TMP/shard$i.txt" ] && fail "static shard $i/2 wrote to stdout"
+	[ -s "$TMP/shard$i.manifest.json" ] || fail "static shard $i/2 wrote no run manifest"
+	writes=$(jq -r '.final.counters["memo.persist_writes"] // 0' "$TMP/shard$i.manifest.json")
+	[ "$writes" -gt 0 ] || fail "static shard $i/2 published no study rows (persist_writes=$writes)"
+done
 "$BIN" -experiment fig10 $B -study-cache "$TMP/static" \
 	-metrics-out "$TMP/merge.manifest.json" 2>/dev/null \
 	| grep -v '^(fig10 in ' > "$TMP/merged.txt"
@@ -57,15 +61,12 @@ misses=$(jq -r '.final.counters["memo.persist_misses"] // 0' "$TMP/merge.manifes
 [ "$hits" -gt 0 ] || fail "merge took no persistent-cache hits (hits=$hits)"
 [ "$misses" -eq 0 ] || fail "merge recomputed $misses study rows the shards should have published"
 
-# --- 3. coordinator mode ----------------------------------------------------
-"$BIN" -experiment fig10 $B -shard-coordinator 2 -study-cache "$TMP/coord" \
-	2> "$TMP/coord.log" | grep -v '^(fig10 in ' > "$TMP/coord.txt"
-cmp -s "$TMP/base.txt" "$TMP/coord.txt" || {
-	cat "$TMP/coord.log" >&2
-	diff "$TMP/base.txt" "$TMP/coord.txt" >&2 || true
-	fail "coordinator merge differs from unsharded baseline"
-}
-grep -q 'buckets done; merging' "$TMP/coord.log" \
-	|| fail "coordinator log missing completion line"
+# --- 3. usage errors ---------------------------------------------------------
+# timeout bounds the -serve-api leg: a regression there would start a server.
+for args in "-shard-coordinator 2" "-bench-json $TMP/bench.json" "-shard 0/2 -serve-api 127.0.0.1:0"; do
+	rc=0
+	timeout 60 "$BIN" -experiment fig10 $B $args -study-cache "$TMP/static" >/dev/null 2>&1 || rc=$?
+	[ "$rc" -eq 2 ] || fail "capsim $args exited $rc, want 2 (usage error)"
+done
 
-echo "shard-smoke ok (static + coordinator merges byte-identical; merge served $hits rows from the shard cache)"
+echo "shard-smoke ok (static merge byte-identical; shards wrote manifests; merge served $hits rows from the shard cache; usage errors rejected)"
