@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build test short race ci-race vet fmt staticcheck ci bench-obs-smoke bench-shard bench-shard-smoke bench-policy bench-zoo-smoke serve-smoke clean
+.PHONY: all build test short race ci-race vet fmt staticcheck ci capbench-test bench-obs-smoke bench-shard bench-shard-smoke bench-policy bench-zoo-smoke serve-smoke clean
 
 all: build
 
@@ -56,7 +56,13 @@ staticcheck:
 		echo "WARNING: staticcheck unavailable and install failed (offline?); static analysis SKIPPED"; \
 	fi
 
-ci: fmt vet staticcheck build ci-race race bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
+ci: fmt vet staticcheck build capbench-test ci-race race bench-obs-smoke bench-shard-smoke bench-zoo-smoke serve-smoke
+
+# capbench-test vets and tests the benchmark harness. capbench is its own
+# module, so the root `go test ./...` never compiles it, yet it imports the
+# experiments, server and memo APIs and checks the internal/ package list.
+capbench-test:
+	$(GO) -C capbench vet ./... && $(GO) -C capbench test ./...
 
 # serve-smoke boots the experiment API server (-serve-api) on an ephemeral
 # port and proves the service contract end to end: POST /v1/run renders
@@ -108,7 +114,7 @@ bench-shard:
 # unsharded baseline, that each shard's run manifest records the rows it
 # published (memo.persist_writes > 0), that the merge served its study rows
 # from the shards' persistent cache (memo.persist_hits > 0, zero misses),
-# and that the removed coordinator and bench-report flags, and -shard under
+# and that the removed coordinator, bench-report and byte-budget flags, and -shard under
 # -serve-api, exit 2.
 bench-shard-smoke:
 	@GO="$(GO)" sh scripts/shard_smoke.sh

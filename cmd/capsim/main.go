@@ -47,7 +47,6 @@ import (
 	"capsim/internal/server"
 	"capsim/internal/sweep"
 	"capsim/internal/tech"
-	"capsim/internal/trace"
 )
 
 // main is a thin shell around run: all error paths return through run's
@@ -89,9 +88,7 @@ func run() (err error) {
 		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
 		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
-		traceBudget = flag.Int64("trace-budget", 0, "materialized-trace byte ceiling; cold stores evict and regenerate on demand (0 = unbounded; output is identical at any setting)")
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
-		studyBudget = flag.Int64("study-cache-budget", 0, "study-cache byte ceiling: publications past it evict least-recently-used entries, deterministically (0 = unbounded; output is identical at any setting)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		ledgerOut   = flag.String("ledger-out", "", "write the flight-recorder decision ledger (per-interval NDJSON, gzip when the path ends in .gz) of every adaptive-policy run to this file")
@@ -140,8 +137,6 @@ func run() (err error) {
 	}
 
 	sweep.SetDefaultWorkers(*parallel)
-	trace.SetBudget(*traceBudget)
-	experiments.SetStudyCacheBudget(*studyBudget)
 	if *studyCache != "" {
 		if err := experiments.SetStudyCacheDir(*studyCache); err != nil {
 			return fmt.Errorf("-study-cache: %w", err)

@@ -256,7 +256,7 @@ func TestStreamForPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StreamFor: %v", err)
 	}
-	if !st.Has(Key(b, 42, p, 2, 8_000)) {
+	if _, ok := st.GetBytes(Key(b, 42, p, 2, 8_000)); !ok {
 		t.Fatalf("stream not published to the persistent store")
 	}
 	Reset()

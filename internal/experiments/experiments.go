@@ -73,9 +73,10 @@ func DefaultConfig() Config {
 
 // CanonicalKey canonicalizes the configuration into a stable string. Every
 // Config field changes rendered bytes, so every field is in; the
-// render-neutral process settings (workers, shard, study cache, trace budget,
-// telemetry) live outside Config and are out. The server's response cache and the shard/persist row
-// keys both build on this discipline; the server prefixes the experiment id.
+// render-neutral process settings (workers, shard, study cache, telemetry)
+// live outside Config and are out. The server's response cache and the
+// shard/persist row keys both build on this discipline; the server prefixes
+// the experiment id.
 func (c Config) CanonicalKey() string {
 	return fmt.Sprintf("seed=%d|warm=%d|refs=%d|qi=%d|iv=%d|pen=%d|f=%g|cp=%+v",
 		c.Seed, c.CacheWarmRefs, c.CacheRefs, c.QueueInstrs,

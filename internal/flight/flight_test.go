@@ -310,19 +310,24 @@ func TestLedgerRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseLedgerTruncated(t *testing.T) {
+// truncatedLedger is a plain ledger cut mid-run: header, run line and
+// events, but no end line.
+func truncatedLedger(tb testing.TB) string {
+	tb.Helper()
 	var b strings.Builder
 	if err := EncodeHeader(&b, ""); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	meta, evs, _ := mkRun("p", KindTrace, 3, 0)
-	// Emit run + events but no end line: a stream cut mid-run.
 	if err := EncodeRun(&b, 1, meta, evs, RunEnd{}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	cut := b.String()
-	cut = cut[:strings.LastIndex(strings.TrimRight(cut, "\n"), "\n")+1]
-	l, err := ParseLedger(strings.NewReader(cut))
+	return cut[:strings.LastIndex(strings.TrimRight(cut, "\n"), "\n")+1]
+}
+
+func TestParseLedgerTruncated(t *testing.T) {
+	l, err := ParseLedger(strings.NewReader(truncatedLedger(t)))
 	if err != nil {
 		t.Fatalf("mid-run cut must degrade to a warning, got error: %v", err)
 	}

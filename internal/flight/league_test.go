@@ -1,21 +1,22 @@
 package flight
 
 import (
+	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// TestReportTruncatedGzLedger is the hardening gate: a .gz ledger cut at an
-// arbitrary byte mid-record (killed writer, mid-stream disconnect) must
-// warn and analyze the complete prefix instead of failing the report.
-func TestReportTruncatedGzLedger(t *testing.T) {
-	dir := t.TempDir()
-	full := filepath.Join(dir, "full.ndjson.gz")
+// truncatedGzLedger is a four-run gzip ledger cut at 3/5 of its bytes,
+// mid-record.
+func truncatedGzLedger(tb testing.TB) []byte {
+	tb.Helper()
+	full := filepath.Join(tb.TempDir(), "full.ndjson.gz")
 	lw, err := CreateLedger(full)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	c := NewCollector(lw)
 	for _, p := range []string{"oracle", "fixed(0)", "fixed(1)", "adaptive"} {
@@ -27,15 +28,21 @@ func TestReportTruncatedGzLedger(t *testing.T) {
 		c.PublishRun(m, e, d)
 	}
 	if err := lw.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-
 	buf, err := os.ReadFile(full)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	cut := filepath.Join(dir, "cut.ndjson.gz")
-	if err := os.WriteFile(cut, buf[:len(buf)*3/5], 0o644); err != nil {
+	return buf[:len(buf)*3/5]
+}
+
+// TestReportTruncatedGzLedger is the hardening gate: a .gz ledger cut at an
+// arbitrary byte mid-record (killed writer, mid-stream disconnect) must
+// warn and analyze the complete prefix instead of failing the report.
+func TestReportTruncatedGzLedger(t *testing.T) {
+	cut := filepath.Join(t.TempDir(), "cut.ndjson.gz")
+	if err := os.WriteFile(cut, truncatedGzLedger(t), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,21 +105,27 @@ func TestReportTruncatedPlainLedger(t *testing.T) {
 	}
 }
 
-// TestParseLedgerMidFileGarbageStillFails: damage followed by intact lines
-// is corruption, not truncation — the parser must refuse.
-func TestParseLedgerMidFileGarbageStillFails(t *testing.T) {
+// midFileGarbageLedger is a complete one-run ledger whose run line (not the
+// last line) is cut in half.
+func midFileGarbageLedger(tb testing.TB) string {
+	tb.Helper()
 	var b strings.Builder
 	if err := EncodeHeader(&b, ""); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	meta, evs, end := mkRun("p", KindTrace, 3, 0)
 	if err := EncodeRun(&b, 1, meta, evs, end); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	lines[1] = lines[1][:len(lines[1])/2] // damage a line that is NOT last
-	doc := strings.Join(lines, "\n") + "\n"
-	if _, err := ParseLedger(strings.NewReader(doc)); err == nil {
+	lines[1] = lines[1][:len(lines[1])/2]
+	return strings.Join(lines, "\n") + "\n"
+}
+
+// TestParseLedgerMidFileGarbageStillFails: damage followed by intact lines
+// is corruption, not truncation — the parser must refuse.
+func TestParseLedgerMidFileGarbageStillFails(t *testing.T) {
+	if _, err := ParseLedger(strings.NewReader(midFileGarbageLedger(t))); err == nil {
 		t.Fatal("mid-file garbage accepted")
 	}
 }
@@ -185,4 +198,39 @@ func TestSortRunSummariesTotalOrder(t *testing.T) {
 	if base[2].Meta.Kind != KindFixed || base[3].Meta.Kind != KindRace {
 		t.Errorf("kind tie-break wrong: %+v", base[2:4])
 	}
+}
+
+// FuzzParseLedger feeds arbitrary bytes to the -report path three ways: to
+// ParseLedger as plain text, through ReadReportInput as a file (gzip seeds
+// take the decompressing branch), and gzip-compressed through
+// ReadReportInput. Each leg must return an error or a ledger whose Report
+// renders; none may panic.
+func FuzzParseLedger(f *testing.F) {
+	f.Add([]byte(truncatedLedger(f)))
+	f.Add(truncatedGzLedger(f))
+	f.Add([]byte(midFileGarbageLedger(f)))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		report := func(in ReportInput) {
+			if out := Report([]ReportInput{in}); !strings.HasPrefix(out, "capsim flight report") {
+				t.Fatalf("report lacks its header:\n%s", out)
+			}
+		}
+		if l, err := ParseLedger(bytes.NewReader(raw)); err == nil {
+			report(ReportInput{Path: "plain", Ledger: &l})
+		}
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		zw.Write(raw)
+		zw.Close()
+		dir := t.TempDir()
+		for name, data := range map[string][]byte{"raw": raw, "gz": gz.Bytes()} {
+			p := filepath.Join(dir, name)
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if in, err := ReadReportInput(p); err == nil {
+				report(in)
+			}
+		}
+	})
 }

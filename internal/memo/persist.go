@@ -34,8 +34,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
 	"capsim/internal/obs"
 )
@@ -72,11 +70,6 @@ type storeEntry struct {
 // safe for concurrent use by any number of goroutines and processes.
 type Store struct {
 	root string // <user dir>/v1
-
-	// budget is the optional byte ceiling (0 = unbounded); pruneMu
-	// serializes LRU sweeps. See budget.go.
-	budget  atomic.Int64
-	pruneMu sync.Mutex
 }
 
 // OpenStore opens (creating if needed) a persistent store rooted at dir.
@@ -121,7 +114,6 @@ func (s *Store) GetBytes(key string) ([]byte, bool) {
 		return nil, false
 	}
 	obsPersistHits.Inc1()
-	s.touch(p) // refresh LRU age explicitly; see budget.go
 	return e.Payload, true
 }
 
@@ -161,15 +153,7 @@ func (s *Store) PutBytes(key string, payload []byte) error {
 		return err
 	}
 	obsPersistWrites.Inc1()
-	s.prune() // enforce the byte budget after every publication
 	return nil
-}
-
-// Has reports whether a usable entry exists for key without decoding its
-// payload into a value (it still fully validates the envelope).
-func (s *Store) Has(key string) bool {
-	_, ok := s.GetBytes(key)
-	return ok
 }
 
 // PersistDo is Do against a Store: return the decoded entry for key if one

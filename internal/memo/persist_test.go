@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,13 +13,19 @@ import (
 	"testing"
 )
 
-func testStore(t *testing.T) *Store {
-	t.Helper()
-	s, err := OpenStore(t.TempDir())
+// testStoreAt opens a store at dir for tests and fuzz set-up.
+func testStoreAt(tb testing.TB, dir string) *Store {
+	tb.Helper()
+	s, err := OpenStore(dir)
 	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
+		tb.Fatalf("OpenStore: %v", err)
 	}
 	return s
+}
+
+func testStore(t *testing.T) *Store {
+	t.Helper()
+	return testStoreAt(t, t.TempDir())
 }
 
 func TestOpenStoreRequiresDir(t *testing.T) {
@@ -40,8 +47,8 @@ func TestStoreRoundtrip(t *testing.T) {
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("GetBytes: %q ok=%v, want %q", got, ok, want)
 	}
-	if !s.Has("k") || s.Has("other") {
-		t.Errorf("Has: k=%v other=%v", s.Has("k"), s.Has("other"))
+	if _, ok := s.GetBytes("other"); ok {
+		t.Error("absent key reported a hit")
 	}
 }
 
@@ -132,7 +139,7 @@ func TestPersistDoNeverPersistsErrors(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("error was persisted: fn called %d times, want 2", calls.Load())
 	}
-	if s.Has("bad") {
+	if _, ok := s.GetBytes("bad"); ok {
 		t.Error("failed computation left an entry on disk")
 	}
 }
@@ -241,4 +248,89 @@ func TestStoreFanOut(t *testing.T) {
 	if len(dir) != 2 {
 		t.Errorf("fan-out dir %q, want a two-hex-digit prefix", dir)
 	}
+}
+
+// FuzzPersistDo writes arbitrary bytes at an entry's path and then calls
+// PersistDo. Whatever the bytes, PersistDo must not panic, must return fn's
+// value (or, when the bytes happen to form a well-formed entry for the key,
+// that entry's value), and must leave a valid entry behind so the next
+// GetBytes is a hit.
+func FuzzPersistDo(f *testing.F) {
+	const key = "row|fuzz"
+	want := []float64{1.5, math.Inf(1), -0.25}
+
+	seed := testStoreAt(f, f.TempDir())
+	if _, err := PersistDo(seed, key, func() ([]float64, error) { return want, nil }); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(seed.path(key))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var payload bytes.Buffer
+	gob.NewEncoder(&payload).Encode(&want)
+	var flipped bytes.Buffer
+	gob.NewEncoder(&flipped).Encode(&storeEntry{Schema: storeSchema, Key: key,
+		Sum: crc32.ChecksumIEEE(payload.Bytes()) ^ 1, Payload: payload.Bytes()})
+
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(flipped.Bytes())
+	// Gob length prefixes claiming a ~1 GiB message and one past gob's limit.
+	f.Add([]byte{0xfc, 0x3f, 0xff, 0xff, 0xff, 0x00})
+	f.Add([]byte{0xf8, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		s := testStore(t)
+		p := s.path(key)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expect := want
+		if v, ok := decodeEntry(raw, key); ok {
+			expect = v
+		}
+		got, err := PersistDo(s, key, func() ([]float64, error) { return want, nil })
+		if err != nil {
+			t.Fatalf("PersistDo: %v", err)
+		}
+		if !sameBits(got, expect) {
+			t.Fatalf("PersistDo = %v, want %v", got, expect)
+		}
+		if _, ok := s.GetBytes(key); !ok {
+			t.Fatal("PersistDo left no valid entry behind")
+		}
+	})
+}
+
+// decodeEntry is the fuzz oracle: raw's value when raw is a well-formed
+// entry for key whose payload decodes as []float64.
+func decodeEntry(raw []byte, key string) ([]float64, bool) {
+	var e storeEntry
+	if gob.NewDecoder(bytes.NewReader(raw)).Decode(&e) != nil ||
+		e.Schema != storeSchema || e.Key != key || e.Sum != crc32.ChecksumIEEE(e.Payload) {
+		return nil, false
+	}
+	var v []float64
+	if gob.NewDecoder(bytes.NewReader(e.Payload)).Decode(&v) != nil {
+		return nil, false
+	}
+	return v, true
+}
+
+// sameBits compares float slices bit for bit, so NaN payloads compare equal.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

@@ -22,12 +22,12 @@
 //     the current minimum failing index still runs, so the reported error is
 //     exactly the one a full serial pass would report).
 //
-// Consequently Run(n, fn) returns byte-identical results for any worker
+// Consequently RunCtx(ctx, n, fn) returns byte-identical results for any worker
 // count, including 1 (the serial fallback used by `capsim -parallel 1` and
 // the determinism tests).
 //
 // Cancellation (see DESIGN.md "Experiment service & the cancellation
-// contract"): the *Ctx variants stop claiming new jobs once ctx is done and
+// contract"): every entry point stops claiming new jobs once ctx is done and
 // return ctx.Err(). Cancellation is inherently racy — which jobs had already
 // been claimed depends on scheduling — so a cancelled run never returns
 // partial results, only the context's error. A run whose jobs all completed
@@ -51,7 +51,7 @@ import (
 // sink. Busy-ns adds land on the worker's own counter lane, so the pool's
 // telemetry never bounces a cache line between workers.
 var (
-	obsRuns       = obs.NewCounter("sweep.runs")          // Run/RunN invocations
+	obsRuns       = obs.NewCounter("sweep.runs")          // RunNCtx invocations
 	obsJobs       = obs.NewCounter("sweep.jobs")          // jobs executed
 	obsSkipped    = obs.NewCounter("sweep.jobs_skipped")  // jobs skipped after an error or cancellation
 	obsBusyNS     = obs.NewCounter("sweep.busy_ns")       // per-worker time inside fn
@@ -64,7 +64,7 @@ var (
 // metric registry is live or a span sink is installed. One branch per job.
 func observing() bool { return obs.Enabled() || obs.Tracing() }
 
-// defaultWorkers holds the process-wide worker count used by Run when the
+// defaultWorkers holds the process-wide worker count used by RunCtx when the
 // caller does not specify one. Zero (the initial value) means "use
 // runtime.GOMAXPROCS(0)". cmd/capsim's -parallel flag sets it.
 var defaultWorkers atomic.Int32
@@ -78,7 +78,7 @@ func SetDefaultWorkers(n int) {
 	defaultWorkers.Store(int32(n))
 }
 
-// DefaultWorkers returns the worker count Run will use: the value set by
+// DefaultWorkers returns the worker count RunCtx will use: the value set by
 // SetDefaultWorkers, or runtime.GOMAXPROCS(0) when unset.
 func DefaultWorkers() int {
 	if n := defaultWorkers.Load(); n > 0 {
@@ -90,7 +90,7 @@ func DefaultWorkers() int {
 // workersKey is the context key of a per-context worker-count override.
 type workersKey struct{}
 
-// WithWorkers returns a context whose RunCtx/EachCtx/GridCtx calls use n
+// WithWorkers returns a context whose RunCtx/GridCtx calls use n
 // workers instead of the process default. The experiment API server uses it
 // to honour a request's `parallel` field without touching the process-wide
 // SetDefaultWorkers (which would race between concurrent requests). n < 1
@@ -121,22 +121,11 @@ func ctxWorkers(ctx context.Context) int {
 	return DefaultWorkers()
 }
 
-// Run executes jobs 0..n-1 with the default worker count and collects their
-// results by index. See RunNCtx.
-func Run[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	return RunNCtx(context.Background(), DefaultWorkers(), n, fn)
-}
-
-// RunCtx is Run under a context: the worker count comes from WithWorkers (or
-// the process default), and the pool stops claiming jobs once ctx is done.
+// RunCtx executes jobs 0..n-1 and collects their results by index: the
+// worker count comes from WithWorkers (or the process default), and the pool
+// stops claiming jobs once ctx is done. See RunNCtx.
 func RunCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
 	return RunNCtx(ctx, ctxWorkers(ctx), n, fn)
-}
-
-// RunN executes jobs 0..n-1 on at most `workers` concurrent goroutines. See
-// RunNCtx.
-func RunN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return RunNCtx(context.Background(), workers, n, fn)
 }
 
 // RunNCtx executes jobs 0..n-1 on at most `workers` concurrent goroutines.
@@ -151,7 +140,7 @@ func RunN[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 // identical to the serial path's (the serial loop stops at its first error,
 // by construction the lowest-indexed one).
 //
-// RunNCtx may be nested: a job may itself call Run/RunCtx. Each invocation
+// RunNCtx may be nested: a job may itself call RunCtx/RunNCtx. Each invocation
 // spawns its own bounded goroutine set and holds no locks while jobs
 // execute, so nesting cannot deadlock; it merely oversubscribes the
 // scheduler briefly.
@@ -229,7 +218,7 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	// Reserve a block of fresh trace thread ids for this pass so nested
-	// RunN invocations render on distinct timeline tracks. Zero when no
+	// RunNCtx invocations render on distinct timeline tracks. Zero when no
 	// trace sink is installed.
 	tidBase := obs.WorkerTIDs(workers, "sweep")
 	watch := observing()
@@ -299,25 +288,10 @@ func RunNCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, erro
 	return results, nil
 }
 
-// Each is Run for jobs without results.
-func Each(n int, fn func(i int) error) error {
-	return EachCtx(context.Background(), n, fn)
-}
-
-// EachCtx is RunCtx for jobs without results.
-func EachCtx(ctx context.Context, n int, fn func(i int) error) error {
-	_, err := RunCtx(ctx, n, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
-	return err
-}
-
-// Grid is a helper for two-dimensional sweeps over an (outer x inner) cross
-// product, the shape of every figure in the paper. Job (o, i) runs at flat
-// index o*inner+i; results are returned as a dense [outer][inner] matrix.
-func Grid[T any](outer, inner int, fn func(o, i int) (T, error)) ([][]T, error) {
-	return GridCtx(context.Background(), outer, inner, fn)
-}
-
-// GridCtx is Grid under a context.
+// GridCtx is a helper for two-dimensional sweeps over an (outer x inner)
+// cross product, the shape of every figure in the paper. Job (o, i) runs at
+// flat index o*inner+i; results are returned as a dense [outer][inner]
+// matrix.
 func GridCtx[T any](ctx context.Context, outer, inner int, fn func(o, i int) (T, error)) ([][]T, error) {
 	flat, err := RunCtx(ctx, outer*inner, func(j int) (T, error) {
 		return fn(j/inner, j%inner)

@@ -168,9 +168,6 @@ func MustNew(p Params, primary int) *TLB {
 // Params returns the physical parameters.
 func (t *TLB) Params() Params { return t.p }
 
-// Primary returns the primary-section size in groups.
-func (t *TLB) Primary() int { return t.primary }
-
 // Stats returns accumulated statistics.
 func (t *TLB) Stats() Stats { return t.stats }
 

@@ -70,7 +70,6 @@ type DecodedStore struct {
 	chunks  atomic.Pointer[[]*decChunk]
 
 	bytes atomic.Int64
-	use   atomic.Uint64
 }
 
 // DecodedFor returns the decoded stream of store s under geometry g,
@@ -158,8 +157,7 @@ func (d *DecodedStore) ensure(n int64) {
 	}
 }
 
-// chunk returns the ci-th decoded chunk, decoding as needed (internal, no
-// budget bookkeeping).
+// chunk returns the ci-th decoded chunk, decoding as needed.
 func (d *DecodedStore) chunk(ci int64) *decChunk {
 	cs := d.chunks.Load()
 	if cs == nil || ci >= int64(len(*cs)) {
@@ -169,28 +167,8 @@ func (d *DecodedStore) chunk(ci int64) *decChunk {
 	return (*cs)[ci]
 }
 
-// cursorChunk is the cursor-facing chunk load (recency stamp + budget).
-func (d *DecodedStore) cursorChunk(ci int64) *decChunk {
-	c := d.chunk(ci)
-	d.use.Store(touchStamp())
-	enforceBudget(d)
-	return c
-}
-
-// evictable implementation (budget.go). The decoded store has no generator
-// of its own — eviction just drops the chunks; ensure re-derives them from
-// the (possibly also re-materialized) source.
 func (d *DecodedStore) liveBytes() int64    { return d.bytes.Load() }
 func (d *DecodedStore) nominalBytes() int64 { return d.Len() / ChunkLen * rawDecChunkBytes }
-func (d *DecodedStore) lastUse() uint64     { return d.use.Load() }
-func (d *DecodedStore) evict() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	obsBytes.Add1(-d.bytes.Load())
-	obsBytesRaw.Add1(-d.nominalBytes())
-	d.chunks.Store(nil)
-	d.bytes.Store(0)
-}
 
 // Cursor returns a replay cursor over the decoded stream. Not safe for
 // concurrent use; each goroutine takes its own.
@@ -212,8 +190,8 @@ type DecodedCursor struct {
 // NextDecoded returns the next reference's set index, tag and write flag.
 func (c *DecodedCursor) NextDecoded() (set int32, tag uint64, write bool) {
 	if c.idx == ChunkLen {
-		c.dec = c.d.cursorChunk(c.ci)
-		c.src = c.d.src.cursorChunk(c.ci)
+		c.dec = c.d.chunk(c.ci)
+		c.src = c.d.src.chunk(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0

@@ -24,27 +24,22 @@
 // extends the store by whole chunks under the store's lock, then publishes
 // the new chunk list atomically. Published chunks are immutable, so readers
 // never synchronize with each other; replay is bit-identical to running the
-// generator directly, at any worker count. Total live bytes are tracked per
-// store and can be capped with SetBudget (see budget.go): over budget, cold
-// stores are evicted and transparently regenerate on their next touch.
+// generator directly, at any worker count. A store only grows: live bytes
+// are tracked per store (TotalBytes, TotalRawBytes) and freed only by Reset.
 //
 // # Lifecycle contract
 //
 // Reset is a coarse process-wide switch and is safe at any time, including
-// while cursors are mid-replay on other goroutines:
+// while cursors are mid-replay on other goroutines. It discards the memo
+// tables and the byte-accounting registry, so future *For calls build fresh
+// stores. Cursors mid-replay keep direct store pointers and are unaffected:
+// the orphaned store still extends itself under its own lock and its
+// published chunks are immutable, so the replayed sequence is unchanged. The
+// orphan is garbage once the last cursor drops it. No store ever resets
+// under a live cursor.
 //
-//   - Reset discards the memo tables and the eviction registry, so future
-//     *For calls build fresh stores. Cursors mid-replay keep direct store
-//     pointers and are unaffected: the orphaned store still extends itself
-//     under its own lock and its published chunks are immutable, so the
-//     replayed sequence is unchanged. The orphan is garbage once the last
-//     cursor drops it.
-//   - Budget eviction (budget.go) resets a store's chunk storage in place;
-//     cursors mid-replay regenerate the identical chunks on their next
-//     chunk-boundary load.
-//
-// TestEnabledResetRace exercises both against concurrent replay under the race
-// detector.
+// TestResetRegeneratesIdentical pins this contract; TestEnabledResetRace
+// exercises it against concurrent replay under the race detector.
 package trace
 
 import (
@@ -62,7 +57,7 @@ import (
 // Telemetry (internal/obs). Materialization happens under each store's lock
 // at chunk granularity, so one counter add per ChunkLen (32768) references is
 // far off the replay hot path; cursors themselves are untouched. The byte
-// counters track LIVE bytes: evictions and Reset subtract what they free.
+// counters track LIVE bytes: Reset subtracts what it frees.
 var (
 	obsRefChunks = obs.NewCounter("trace.ref_chunks")    // reference chunks materialized
 	obsOpChunks  = obs.NewCounter("trace.op_chunks")     // instruction chunks materialized
@@ -137,7 +132,7 @@ var (
 )
 
 // Reset discards every memoized store (reference, instruction and decoded)
-// and the eviction registry. Long-lived processes can call it to bound
+// and the byte-accounting registry. Long-lived processes can call it to bound
 // memory; the determinism tests call it between passes so each pass
 // re-materializes from scratch. Safe while cursors are mid-replay (see the
 // lifecycle contract in the package comment).
@@ -156,6 +151,59 @@ func Reset() {
 // currently memoized (diagnostics and tests).
 func StoreCounts() (refs, ops, decoded int) {
 	return refStores.Len(), opStores.Len(), decStores.Len()
+}
+
+// accounted is the registry's view of a store: its live (compressed) bytes
+// and what the same contents occupy in the flat pre-compression layout.
+type accounted interface {
+	liveBytes() int64
+	nominalBytes() int64
+}
+
+// registry lists every store built since the last Reset, for TotalBytes and
+// TotalRawBytes.
+var registry struct {
+	mu     sync.Mutex
+	stores []accounted
+}
+
+// registerStore adds a newly created store to the registry. Called from the
+// memo constructors, which hold no store lock.
+func registerStore(s accounted) {
+	registry.mu.Lock()
+	registry.stores = append(registry.stores, s)
+	registry.mu.Unlock()
+}
+
+// clearRegistry forgets every store; Reset calls it after dropping the memos.
+func clearRegistry() {
+	registry.mu.Lock()
+	registry.stores = nil
+	registry.mu.Unlock()
+}
+
+// TotalBytes returns the live (compressed) bytes across all current stores.
+func TotalBytes() int64 {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	var sum int64
+	for _, s := range registry.stores {
+		sum += s.liveBytes()
+	}
+	return sum
+}
+
+// TotalRawBytes returns what the same store contents would occupy in the
+// pre-compression flat chunk layout; TotalBytes/TotalRawBytes is the tier's
+// live compression ratio.
+func TotalRawBytes() int64 {
+	registry.mu.Lock()
+	defer registry.mu.Unlock()
+	var sum int64
+	for _, s := range registry.stores {
+		sum += s.nominalBytes()
+	}
+	return sum
 }
 
 // --- reference store ------------------------------------------------------
@@ -179,13 +227,11 @@ func refChunkBytes(c *refChunk) int64 {
 // chunk-list pointer, and never mutated afterwards.
 type RefStore struct {
 	mu      sync.Mutex
-	gen     *workload.AddressTrace        // guarded by mu
-	newGen  func() *workload.AddressTrace // rebuilds gen after eviction
-	scratch []byte                        // encode buffer, guarded by mu
+	gen     *workload.AddressTrace // guarded by mu
+	scratch []byte                 // encode buffer, guarded by mu
 	chunks  atomic.Pointer[[]*refChunk]
 
-	bytes atomic.Int64  // live compressed bytes
-	use   atomic.Uint64 // LRU recency stamp (cursor-facing loads)
+	bytes atomic.Int64 // live compressed bytes
 }
 
 // RefsFor returns the shared reference store for (b, seed), creating it
@@ -196,8 +242,7 @@ func RefsFor(b workload.Benchmark, seed uint64) *RefStore {
 	}
 	return refStores.Get(refKey{b.Mem, b.Name, seed}, func() *RefStore {
 		defer publishStoreGauge()
-		newGen := func() *workload.AddressTrace { return workload.NewAddressTrace(b, seed) }
-		s := &RefStore{gen: newGen(), newGen: newGen}
+		s := &RefStore{gen: workload.NewAddressTrace(b, seed)}
 		registerStore(s)
 		return s
 	})
@@ -251,8 +296,7 @@ func (s *RefStore) ensure(n int64) {
 }
 
 // chunk returns the ci-th chunk, materializing it (and its predecessors) if
-// necessary. Internal accessor: no budget bookkeeping (DecodedStore.ensure
-// calls it while holding its own lock).
+// necessary.
 func (s *RefStore) chunk(ci int64) *refChunk {
 	cs := s.chunks.Load()
 	if cs == nil || ci >= int64(len(*cs)) {
@@ -262,29 +306,8 @@ func (s *RefStore) chunk(ci int64) *refChunk {
 	return (*cs)[ci]
 }
 
-// cursorChunk is the cursor-facing chunk load: it stamps the store's recency
-// and enforces the byte budget. Callers hold no store lock here.
-func (s *RefStore) cursorChunk(ci int64) *refChunk {
-	c := s.chunk(ci)
-	s.use.Store(touchStamp())
-	enforceBudget(s)
-	return c
-}
-
-// evictable implementation (budget.go). evict drops the chunk storage and
-// rewinds the generator; the store regenerates identically on next use.
 func (s *RefStore) liveBytes() int64    { return s.bytes.Load() }
 func (s *RefStore) nominalBytes() int64 { return s.Len() / ChunkLen * rawRefChunkBytes }
-func (s *RefStore) lastUse() uint64     { return s.use.Load() }
-func (s *RefStore) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsBytes.Add1(-s.bytes.Load())
-	obsBytesRaw.Add1(-s.nominalBytes())
-	s.chunks.Store(nil)
-	s.gen = s.newGen()
-	s.bytes.Store(0)
-}
 
 // Cursor returns a replay cursor positioned at the start of the stream. The
 // cursor is not safe for concurrent use; each goroutine takes its own.
@@ -305,7 +328,7 @@ type RefCursor struct {
 // Next returns the next reference in the stream.
 func (c *RefCursor) Next() workload.Ref {
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.chunk(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0
@@ -339,13 +362,11 @@ func opChunkBytes(c *opChunk) int64 {
 // counterpart of RefStore.
 type OpStore struct {
 	mu      sync.Mutex
-	gen     *workload.InstrStream        // guarded by mu
-	newGen  func() *workload.InstrStream // rebuilds gen after eviction
-	scratch []byte                       // encode buffer, guarded by mu
+	gen     *workload.InstrStream // guarded by mu
+	scratch []byte                // encode buffer, guarded by mu
 	chunks  atomic.Pointer[[]*opChunk]
 
 	bytes atomic.Int64
-	use   atomic.Uint64
 }
 
 // OpsFor returns the shared instruction store for (b, seed), creating it on
@@ -353,8 +374,7 @@ type OpStore struct {
 func OpsFor(b workload.Benchmark, seed uint64) *OpStore {
 	return opStores.Get(opKey{b.Name, seed, ilpFingerprint(b.ILP)}, func() *OpStore {
 		defer publishStoreGauge()
-		newGen := func() *workload.InstrStream { return workload.NewInstrStream(b, seed) }
-		s := &OpStore{gen: newGen(), newGen: newGen}
+		s := &OpStore{gen: workload.NewInstrStream(b, seed)}
 		registerStore(s)
 		return s
 	})
@@ -404,8 +424,7 @@ func (s *OpStore) ensure(n int64) {
 	}
 }
 
-// chunk returns the ci-th chunk, materializing as needed (internal, no
-// budget bookkeeping).
+// chunk returns the ci-th chunk, materializing as needed.
 func (s *OpStore) chunk(ci int64) *opChunk {
 	cs := s.chunks.Load()
 	if cs == nil || ci >= int64(len(*cs)) {
@@ -415,27 +434,8 @@ func (s *OpStore) chunk(ci int64) *opChunk {
 	return (*cs)[ci]
 }
 
-// cursorChunk is the cursor-facing chunk load (recency stamp + budget).
-func (s *OpStore) cursorChunk(ci int64) *opChunk {
-	c := s.chunk(ci)
-	s.use.Store(touchStamp())
-	enforceBudget(s)
-	return c
-}
-
-// evictable implementation (budget.go).
 func (s *OpStore) liveBytes() int64    { return s.bytes.Load() }
 func (s *OpStore) nominalBytes() int64 { return s.Len() / ChunkLen * rawOpChunkBytes }
-func (s *OpStore) lastUse() uint64     { return s.use.Load() }
-func (s *OpStore) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	obsBytes.Add1(-s.bytes.Load())
-	obsBytesRaw.Add1(-s.nominalBytes())
-	s.chunks.Store(nil)
-	s.gen = s.newGen()
-	s.bytes.Store(0)
-}
 
 // Cursor returns a replay cursor positioned at the start of the stream.
 func (s *OpStore) Cursor() *OpCursor { return &OpCursor{s: s, idx: ChunkLen} }
@@ -453,7 +453,7 @@ type OpCursor struct {
 // Next returns the next instruction in the stream.
 func (c *OpCursor) Next() workload.Instr {
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.chunk(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0
@@ -481,7 +481,7 @@ func (c *OpCursor) CopyNext(dst []workload.Instr) int {
 		return 0
 	}
 	if c.idx == ChunkLen {
-		c.c = c.s.cursorChunk(c.ci)
+		c.c = c.s.chunk(c.ci)
 		c.ci++
 		c.idx = 0
 		c.off = 0

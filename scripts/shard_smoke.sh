@@ -12,9 +12,10 @@
 #   2. The merge actually reused the shards' work: its run manifest shows
 #      memo.persist_hits > 0 and memo.persist_misses == 0 (every study row
 #      was served from the cache, none recomputed).
-#   3. Removed flags stay removed: the retired shard coordinator and the
-#      one-shot bench report are usage errors (exit 2), not silent aliases.
-#      So is -shard under -serve-api, which has no per-id loop to shard.
+#   3. Removed flags stay removed: the retired shard coordinator, the
+#      one-shot bench report and the trace and study-cache byte budgets are
+#      usage errors (exit 2), not silent aliases. So is -shard under
+#      -serve-api, which has no per-id loop to shard.
 #
 # The CLI's timing footer is the only line stripped from comparisons (same
 # idiom as bench-obs-smoke). Requires: go, jq. Writes only under /tmp.
@@ -63,7 +64,8 @@ misses=$(jq -r '.final.counters["memo.persist_misses"] // 0' "$TMP/merge.manifes
 
 # --- 3. usage errors ---------------------------------------------------------
 # timeout bounds the -serve-api leg: a regression there would start a server.
-for args in "-shard-coordinator 2" "-bench-json $TMP/bench.json" "-shard 0/2 -serve-api 127.0.0.1:0"; do
+for args in "-shard-coordinator 2" "-bench-json $TMP/bench.json" "-trace-budget 1" \
+	"-study-cache-budget 1" "-shard 0/2 -serve-api 127.0.0.1:0"; do
 	rc=0
 	timeout 60 "$BIN" -experiment fig10 $B $args -study-cache "$TMP/static" >/dev/null 2>&1 || rc=$?
 	[ "$rc" -eq 2 ] || fail "capsim $args exited $rc, want 2 (usage error)"
