@@ -129,7 +129,9 @@ bench-policy:
 
 # bench-zoo-smoke: a tiny-budget zoo run proving the league render is
 # byte-identical at 1 vs 4 workers and when static shards 0/2 and 1/2 fill a
-# fresh persistent study cache that a plain run then merges, and that
+# fresh persistent study cache that a plain run then merges, that zoo and
+# ablation-switch render byte-identically under -obs-assert (which checks
+# every copy-on-divergence fork and race column), and that
 # `capsim -report` over the ledger the run emits reproduces the league
 # tables byte-for-byte (the experiment header and timing footer are
 # stripped, plus the blank separators the experiment renderer leaves before
@@ -141,6 +143,12 @@ bench-zoo-smoke:
 		| grep -v '^(zoo in ' > /tmp/capsim_zoo_p4.txt
 	@cmp /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt || \
 		{ echo "zoo rendered differently at 1 vs 4 workers"; exit 1; }
+	@$(GO) run ./cmd/capsim -experiment zoo,ablation-switch -parallel 2 -queue-instrs 3000 \
+		| grep -v '^(zoo in \|^(ablation-switch in ' > /tmp/capsim_zoo_plain.txt
+	@$(GO) run ./cmd/capsim -experiment zoo,ablation-switch -parallel 2 -queue-instrs 3000 -obs-assert \
+		| grep -v '^(zoo in \|^(ablation-switch in ' > /tmp/capsim_zoo_assert.txt
+	@cmp /tmp/capsim_zoo_plain.txt /tmp/capsim_zoo_assert.txt || \
+		{ echo "zoo,ablation-switch rendered differently under -obs-assert"; exit 1; }
 	@rm -rf /tmp/capsim_zoo_smoke && mkdir -p /tmp/capsim_zoo_smoke
 	@$(GO) run ./cmd/capsim -experiment zoo -parallel 2 -queue-instrs 3000 \
 		-shard 0/2 -study-cache /tmp/capsim_zoo_smoke/cache 2>/dev/null
@@ -164,13 +172,14 @@ bench-zoo-smoke:
 		> /tmp/capsim_zoo_report.txt
 	@cmp /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt || \
 		{ echo "capsim -report did not reproduce the zoo league tables"; exit 1; }
-	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers and static-shard merge vs unsharded; -report reproduces the league)"
+	@echo "bench-zoo smoke ok (renders byte-identical at 1 vs 4 workers, static-shard merge vs unsharded and under -obs-assert; -report reproduces the league)"
 
 clean:
 	rm -f /tmp/capsim_obs_off.txt /tmp/capsim_obs_on.txt \
 	  /tmp/capsim_obs_smoke.trace.json /tmp/capsim_obs_smoke.json \
 	  /tmp/capsim_ledger_off.txt /tmp/capsim_ledger_on.txt /tmp/capsim_obs_smoke.ledger.gz \
 	  /tmp/capsim_zoo_p1.txt /tmp/capsim_zoo_p4.txt /tmp/capsim_zoo_shard.txt \
+	  /tmp/capsim_zoo_plain.txt /tmp/capsim_zoo_assert.txt \
 	  /tmp/capsim_zoo_direct_full.txt /tmp/capsim_zoo_report_full.txt \
 	  /tmp/capsim_zoo_direct.txt /tmp/capsim_zoo_report.txt
 	rm -rf /tmp/capsim_serve_smoke /tmp/capsim_shard_smoke /tmp/capsim_bench_shard \

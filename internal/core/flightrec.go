@@ -49,14 +49,14 @@ func (mp *MultiPolicy) flightOracle(cycles [][]int64, intervals int64) (cfg []in
 	return cfg, ns
 }
 
-// flightMeta stamps the engine's shared run identity.
-func (mp *MultiPolicy) flightMeta(policy, kind string) flight.RunMeta {
+// flightMeta stamps the engine's shared run identity at a column's penalty.
+func (mp *MultiPolicy) flightMeta(policy, kind string, penalty int) flight.RunMeta {
 	return flight.RunMeta{
 		App:     mp.b.Name,
 		Seed:    mp.seed,
 		Sizes:   append([]int(nil), mp.sizes...),
 		N:       mp.n,
-		Penalty: mp.penalty,
+		Penalty: penalty,
 		Policy:  policy,
 		Kind:    kind,
 	}
@@ -112,11 +112,11 @@ func (mp *MultiPolicy) publishTraceRuns(ctx context.Context, cycles, issued [][]
 				CumRegretNS: regretNS,
 			}
 		}
-		meta := mp.flightMeta("trace:"+mp.sources[i].Label, flight.KindTrace)
+		meta := mp.flightMeta("trace:"+mp.sources[i].Label, flight.KindTrace, mp.penalty)
 		flight.Publish(ctx, meta, evs, flightEnd(intervals, instrs, 0, timeNS, regretNS))
 	}
 	evs, instrs, switches, timeNS := mp.oracleColumn(cycles, issued, oCfg, oNS, intervals, true)
-	meta := mp.flightMeta("oracle", flight.KindOracle)
+	meta := mp.flightMeta("oracle", flight.KindOracle, mp.penalty)
 	flight.Publish(ctx, meta, evs, flightEnd(intervals, instrs, switches, timeNS, 0))
 }
 
@@ -182,7 +182,7 @@ func (mp *MultiPolicy) RunOracle(ctx context.Context, intervals int64) (RunResul
 		res.TPI = timeNS / float64(instrs)
 	}
 	if rec {
-		flight.Publish(ctx, mp.flightMeta("oracle", flight.KindOracle), evs, flightEnd(intervals, instrs, switches, timeNS, 0))
+		flight.Publish(ctx, mp.flightMeta("oracle", flight.KindOracle, mp.penalty), evs, flightEnd(intervals, instrs, switches, timeNS, 0))
 	}
 	return res, nil
 }

@@ -74,7 +74,7 @@ func TestFlightRecorderEnginesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetPolicyFamilies()
-	refRace, err := mk().Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, intervals)
+	refRace, err := mk().Race(ctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}, Penalty: 40}}, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestFlightRecorderEnginesExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	ResetPolicyFamilies()
-	recRace, err := mk().Race(rctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}}}, intervals)
+	recRace, err := mk().Race(rctx, []PolicySpec{{Policy: &IntervalPolicy{Configs: []int{0, 1}}, Penalty: 40}}, intervals)
 	if err != nil {
 		t.Fatal(err)
 	}

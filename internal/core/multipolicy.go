@@ -16,10 +16,14 @@ import (
 	"capsim/internal/workload"
 )
 
-// obsPolicyCells counts (policy column × interval) simulation cells computed
-// by the one-pass interval engines — the unit of work the family cache and
-// the lockstep race amortize.
-var obsPolicyCells = obs.NewCounter("policy.cells")
+// obsPolicyCells counts (policy column × interval) cells served by the
+// one-pass interval engines; obsCoreCells counts the (member core ×
+// interval) cells actually simulated to serve them. Their ratio is the work
+// the family cache and copy-on-divergence race columns share.
+var (
+	obsPolicyCells = obs.NewCounter("policy.cells")
+	obsCoreCells   = obs.NewCounter("policy.core_cells")
+)
 
 // intervalKey identifies one interval family: the per-size, per-interval raw
 // core outcomes (cycles, issued) of an application's stream chopped into
@@ -104,6 +108,7 @@ func (f *intervalFamily) extendTo(ctx context.Context, intervals int64) error {
 		}
 		f.done++
 		obsPolicyCells.Add1(int64(len(f.cycles)))
+		obsCoreCells.Add1(int64(len(f.cycles)))
 	}
 	return nil
 }
@@ -146,10 +151,14 @@ type MultiPolicy struct {
 	cycs    []float64
 }
 
-// PolicySpec is one contender in a Race. Policies are stateful; give each
-// spec its own instance.
+// PolicySpec is one column of a Race: a contender and the clock-switch
+// penalty it is charged. Policies are stateful; give each spec its own
+// instance.
 type PolicySpec struct {
 	Policy Policy
+	// Penalty is the column's switch penalty in cycles; < 0 selects the
+	// default, as in NewMultiPolicy. The zero value is a free switch.
+	Penalty int
 }
 
 // NewMultiPolicy builds the replay engine for one application. The
@@ -300,33 +309,52 @@ func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (
 		res.TPI = timeNS / float64(instrs)
 	}
 	if rec {
-		meta := mp.flightMeta(res.Policy, flight.KindFixed)
+		meta := mp.flightMeta(res.Policy, flight.KindFixed, mp.penalty)
 		flight.Publish(ctx, meta, evs, flightEnd(intervals, instrs, res.Switches, timeNS, regretNS))
 	}
 	return res, nil
 }
 
 // Race runs N stateful policies as lockstep columns of ONE MultiCore over
-// the shared instruction stream: per interval, each column consults its
-// policy, performs its own reconfiguration (drain at the old clock + switch
-// penalty, QueueMachine.SetConfig's exact order), then a single RunEach
-// round advances every column together. Per-column results are bit-identical
-// to private QueueMachine runs: member cores consume the stream exactly as
-// they would privately, and resizes between rounds reproduce private-machine
-// behaviour (see ooo.MultiCore.Cores).
+// the shared instruction stream. Each column has its own switch penalty
+// (PolicySpec.Penalty), clock, monitor, regret and ledger; what columns
+// share is simulated core state. A core's state depends only on the stream
+// and its configuration history, so every group of columns whose histories
+// match runs on one member core, and a member is copied only on the
+// interval where the columns sharing it choose different configurations
+// (copy-on-divergence). Per interval:
+//
+//  1. every column's policy picks its next configuration;
+//  2. for each member, in member order, its columns are grouped by wanted
+//     configuration in column order: the first group keeps the member and
+//     every further group gets a fork of it (MultiCore.Fork), taken before
+//     the member is resized;
+//  3. each member is resized once and its drain measured once;
+//  4. each switching column charges that drain at its own clock, then its
+//     own switch penalty (QueueMachine.SetConfig's order);
+//  5. one RunEach round advances every member, and each column reads its
+//     member's delta.
+//
+// Per-column results are bit-identical to a private QueueMachine at the
+// column's penalty, for any policy — including one whose decisions depend
+// on the penalty, which simply forks (TestMultiPolicyRaceLockstep,
+// TestRaceForkEveryInterval). The engine's own penalty (NewMultiPolicy)
+// does not apply to race columns.
 func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals int64) ([]RunResult, error) {
+	out, _, err := mp.race(ctx, specs, intervals)
+	return out, err
+}
+
+// race is Race, also returning how many member cores the race ended with.
+func (mp *MultiPolicy) race(ctx context.Context, specs []PolicySpec, intervals int64) ([]RunResult, int, error) {
 	if len(specs) == 0 {
-		return nil, fmt.Errorf("core: no policies to race")
+		return nil, 0, fmt.Errorf("core: no policies to race")
 	}
-	cfgs := make([]ooo.Config, len(specs))
-	for j := range specs {
-		cfgs[j] = ooo.PaperConfig(mp.sizes[0])
-	}
-	mc, err := ooo.NewMultiCore(cfgs)
+	mc, err := ooo.NewMultiCore([]ooo.Config{ooo.PaperConfig(mp.sizes[0])})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	cores := mc.Cores()
+	rc := &raceCores{mc: mc, cfg: []int{0}, member: make([]int, len(specs))}
 	stream := trace.InstrSourceFor(mp.b, mp.seed)
 
 	// Flight recording: the oracle reference comes from the memoized interval
@@ -348,11 +376,11 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 	if rec {
 		fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		famCycles, _, err := fam.rows(ctx, intervals)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		oCfg, oNS = mp.flightOracle(famCycles, intervals)
 		recEvs = make([][]flight.Event, len(specs))
@@ -369,51 +397,60 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 	clks := make([]*clock.System, len(specs))
 	mons := make([]*Monitor, len(specs))
 	cur := make([]int, len(specs))
+	want := make([]int, len(specs))
 	timeNS := make([]float64, len(specs))
 	instrs := make([]int64, len(specs))
-	for j := range specs {
-		clks[j], err = clock.NewSystem(mp.sources, 0, mp.penalty)
+	for j, spec := range specs {
+		clks[j], err = clock.NewSystem(mp.sources, 0, spec.Penalty)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		mons[j] = NewMonitor(64)
 		mons[j].Current = 0
 	}
 	for iv := int64(0); iv < intervals; iv++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if rec {
-			for j := range specs {
-				ivDrainCyc[j], ivDrainNS[j], ivPenNS[j], ivSwitched[j] = 0, 0, 0, false
-			}
+			return nil, 0, err
 		}
 		for j, spec := range specs {
-			want := spec.Policy.Next(mons[j])
-			if want == cur[j] {
+			w := spec.Policy.Next(mons[j])
+			if w != cur[j] && (w < 0 || w >= len(mp.sizes)) {
+				return nil, 0, fmt.Errorf("core: policy %q selected config %d outside [0,%d)", spec.Policy.Name(), w, len(mp.sizes))
+			}
+			want[j] = w
+		}
+		rc.split(want)
+		if err := rc.resize(mp.sizes); err != nil {
+			return nil, 0, err
+		}
+		for j := range specs {
+			if rec {
+				ivDrainCyc[j], ivDrainNS[j], ivPenNS[j], ivSwitched[j] = 0, 0, 0, false
+			}
+			if want[j] == cur[j] {
 				continue
 			}
-			if want < 0 || want >= len(mp.sizes) {
-				return nil, fmt.Errorf("core: policy %q selected config %d outside [0,%d)", spec.Policy.Name(), want, len(mp.sizes))
-			}
-			before := cores[j].Stats().DrainStalls
-			if err := cores[j].Resize(mp.sizes[want]); err != nil {
-				return nil, err
-			}
-			drain := cores[j].Stats().DrainStalls - before
+			drain := rc.drain[rc.member[j]]
 			dd := clks[j].Advance(drain)
 			timeNS[j] += dd
-			pen, err := clks[j].Select(want)
+			pen, err := clks[j].Select(want[j])
 			if err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 			timeNS[j] += pen
-			cur[j] = want
+			cur[j] = want[j]
 			if rec {
 				ivDrainCyc[j], ivDrainNS[j], ivPenNS[j], ivSwitched[j] = drain, dd, pen, true
 			}
 		}
-		for j, st := range mc.RunEach(stream, mp.n) {
+		if obs.AssertEnabled() {
+			if err := rc.checkColumns(mp.sizes, cur); err != nil {
+				obs.Fail(err)
+			}
+		}
+		sts := mc.RunEach(stream, mp.n)
+		for j := range specs {
+			st := sts[rc.member[j]]
 			dt := clks[j].Advance(st.Cycles)
 			instrs[j] += st.Issued
 			timeNS[j] += dt
@@ -456,6 +493,7 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 			}
 		}
 		obsPolicyCells.Add1(int64(len(specs)))
+		obsCoreCells.Add1(int64(len(sts)))
 	}
 	mc.PublishObs()
 	out := make([]RunResult, len(specs))
@@ -465,11 +503,108 @@ func (mp *MultiPolicy) Race(ctx context.Context, specs []PolicySpec, intervals i
 			out[j].TPI = timeNS[j] / float64(instrs[j])
 		}
 		if rec {
-			meta := mp.flightMeta(out[j].Policy, flight.KindRace)
+			meta := mp.flightMeta(out[j].Policy, flight.KindRace, spec.Penalty)
 			flight.Publish(ctx, meta, recEvs[j], flightEnd(intervals, instrs[j], out[j].Switches, timeNS[j], recRegret[j]))
 		}
 	}
-	return out, nil
+	return out, len(rc.cfg), nil
+}
+
+// raceCores is Race's copy-on-divergence bookkeeping: the member cores, the
+// configuration each member holds, and the member each column runs on.
+// Every member always carries at least one column.
+type raceCores struct {
+	mc     *ooo.MultiCore
+	cfg    []int   // member -> configuration it holds
+	member []int   // column -> member core
+	want   []int   // member -> configuration its columns want this interval
+	drain  []int64 // member -> drain stall cycles of this interval's resize
+}
+
+// split regroups the columns by wanted configuration: for each member, in
+// member order, its columns are grouped in column order; the first group
+// keeps the member and every further group moves to a fork of it. All
+// forks are taken before any member is resized, so a fork starts from the
+// exact state its columns shared.
+func (rc *raceCores) split(want []int) {
+	n := len(rc.cfg)
+	rc.want = rc.want[:0]
+	for m := 0; m < n; m++ {
+		rc.want = append(rc.want, -1)
+	}
+	for m := 0; m < n; m++ {
+		first := len(rc.cfg) // this member's forks are [first, len(rc.cfg))
+		for j, jm := range rc.member {
+			if jm != m {
+				continue
+			}
+			w := want[j]
+			if rc.want[m] < 0 || rc.want[m] == w {
+				rc.want[m] = w
+				continue
+			}
+			f := first
+			for f < len(rc.cfg) && rc.want[f] != w {
+				f++
+			}
+			if f == len(rc.cfg) {
+				f = rc.mc.Fork(m)
+				rc.cfg = append(rc.cfg, rc.cfg[m])
+				rc.want = append(rc.want, w)
+				if obs.AssertEnabled() {
+					cores := rc.mc.Cores()
+					if err := checkFork(cores[m], cores[f]); err != nil {
+						obs.Fail(err)
+					}
+				}
+			}
+			rc.member[j] = f
+		}
+	}
+}
+
+// resize moves every member to its wanted configuration — once per member,
+// however many columns share it — and records the drain stall cycles each
+// resize cost (zero for members that stay put).
+func (rc *raceCores) resize(sizes []int) error {
+	rc.drain = rc.drain[:0]
+	for m, c := range rc.mc.Cores() {
+		var drain int64
+		if w := rc.want[m]; w != rc.cfg[m] {
+			before := c.Stats().DrainStalls
+			if err := c.Resize(sizes[w]); err != nil {
+				return err
+			}
+			drain = c.Stats().DrainStalls - before
+			rc.cfg[m] = w
+		}
+		rc.drain = append(rc.drain, drain)
+	}
+	return nil
+}
+
+// checkColumns is the -obs-assert check after the resize step: every
+// column's configuration size equals its member core's window size.
+func (rc *raceCores) checkColumns(sizes, cur []int) error {
+	cores := rc.mc.Cores()
+	for j, m := range rc.member {
+		if got := cores[m].Config().WindowSize; got != sizes[cur[j]] {
+			return fmt.Errorf("core: race column %d holds size %d but its member core %d has window %d", j, sizes[cur[j]], m, got)
+		}
+	}
+	return nil
+}
+
+// checkFork is the -obs-assert check on a fresh fork: it must match its
+// parent's statistics and window occupancy.
+func checkFork(parent, fork *ooo.Core) error {
+	if ps, fs := parent.Stats(), fork.Stats(); ps != fs {
+		return fmt.Errorf("core: fork stats %+v differ from parent %+v", fs, ps)
+	}
+	if po, fo := parent.Occupancy(), fork.Occupancy(); po != fo {
+		return fmt.Errorf("core: fork occupancy %d differs from parent %d", fo, po)
+	}
+	return nil
 }
 
 // RunPolicyStudy is the interval drivers' entry point: one policy-driven run
@@ -489,7 +624,7 @@ func RunPolicyStudy(ctx context.Context, b workload.Benchmark, seed uint64, size
 	if fp, ok := p.(FixedPolicy); ok {
 		return mp.RunFixed(ctx, fp.Config, intervals)
 	}
-	res, err := mp.Race(ctx, []PolicySpec{{Policy: p}}, intervals)
+	res, err := mp.Race(ctx, []PolicySpec{{Policy: p, Penalty: penaltyCycles}}, intervals)
 	if err != nil {
 		return RunResult{}, err
 	}

@@ -88,13 +88,13 @@ func TestMultiPolicyRaceLockstep(t *testing.T) {
 			t.Fatalf("%s: NewMultiPolicy: %v", tc.app, err)
 		}
 		specs := []PolicySpec{
-			{Policy: &IntervalPolicy{Configs: []int{0, 1}}},
-			{Policy: FixedPolicy{Config: 1}},
-			{Policy: &IntervalPolicy{Configs: []int{0, 1}, ConfidenceMax: 3}},
-			{Policy: &HysteresisPolicy{Configs: []int{0, 1}}},
-			{Policy: &PIDPolicy{Configs: []int{0, 1}}},
-			{Policy: &SlopeBanditPolicy{Configs: []int{0, 1}}},
-			{Policy: &ProfileThenCommitPolicy{Configs: []int{0, 1}}},
+			{Policy: &IntervalPolicy{Configs: []int{0, 1}}, Penalty: 50},
+			{Policy: FixedPolicy{Config: 1}, Penalty: 50},
+			{Policy: &IntervalPolicy{Configs: []int{0, 1}, ConfidenceMax: 3}, Penalty: 50},
+			{Policy: &HysteresisPolicy{Configs: []int{0, 1}}, Penalty: 50},
+			{Policy: &PIDPolicy{Configs: []int{0, 1}}, Penalty: 50},
+			{Policy: &SlopeBanditPolicy{Configs: []int{0, 1}}, Penalty: 50},
+			{Policy: &ProfileThenCommitPolicy{Configs: []int{0, 1}}, Penalty: 50},
 		}
 		raced, err := mp.Race(ctx, specs, intervals)
 		if err != nil {
@@ -182,7 +182,7 @@ func TestRunPolicyStudyErrors(t *testing.T) {
 	if _, err := mp.Race(ctx, nil, 1); err == nil {
 		t.Error("empty spec list accepted")
 	}
-	if _, err := mp.Race(ctx, []PolicySpec{{Policy: FixedPolicy{Config: 9}}}, 1); err == nil {
+	if _, err := mp.Race(ctx, []PolicySpec{{Policy: FixedPolicy{Config: 9}, Penalty: -1}}, 1); err == nil {
 		t.Error("policy selecting out-of-range config accepted")
 	}
 }

@@ -146,14 +146,25 @@ func ablationSwitch(ctx context.Context, cfg Config) (Result, error) {
 		XLabel: "switch penalty (cycles)",
 		YLabel: "TPI (ns)",
 	}
-	// Each penalty point is an independent simulation: sweep them in
-	// parallel, collecting by penalty index.
+	// One Race serves every penalty point: the predictor's decisions do not
+	// depend on the penalty, so its columns share one simulated core.
 	penalties := []int{0, 10, 20, 50, 100, 200}
-	runs, err := sweep.RunCtx(ctx, len(penalties), func(i int) (core.RunResult, error) {
-		c := cfg
-		c.PenaltyCycles = penalties[i]
-		return runIntervalPolicy(ctx, c, "vortex", sizes, "interval-adaptive", &core.IntervalPolicy{Configs: []int{0, 1}}, intervals)
-	})
+	runs, err := penaltyRaceRow("vortex", cfg.Seed, sizes, "interval-adaptive", intervals, cfg.IntervalInstrs, penalties, cfg.Feature,
+		func() ([]core.RunResult, error) {
+			b, err := workload.ByName("vortex")
+			if err != nil {
+				return nil, err
+			}
+			mp, err := core.NewMultiPolicy(b, cfg.Seed, sizes, cfg.IntervalInstrs, cfg.PenaltyCycles, cfg.Feature)
+			if err != nil {
+				return nil, err
+			}
+			specs := make([]core.PolicySpec, len(penalties))
+			for i, pen := range penalties {
+				specs[i] = core.PolicySpec{Policy: &core.IntervalPolicy{Configs: []int{0, 1}}, Penalty: pen}
+			}
+			return mp.Race(ctx, specs, intervals)
+		})
 	if err != nil {
 		return Result{}, err
 	}

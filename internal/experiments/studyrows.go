@@ -159,7 +159,7 @@ func traceRow(b workload.Benchmark, seed uint64, entries []int, n, iv int64, pen
 		fn)
 }
 
-// policyRow is the row behind ablation-interval and ablation-switch: one
+// policyRow is the row behind ablation-interval: one
 // policy-driven QueueMachine run. label names the policy ("fixed:0",
 // "adaptive") — policies are stateful, so the key carries the caller's
 // canonical name rather than a formatted struct.
@@ -167,6 +167,14 @@ func policyRow(app string, seed uint64, sizes []int, label string, intervals, iv
 	key := fmt.Sprintf("qpolicy|seed=%d|iv=%d|pen=%d|f=%g|sizes=%v|n=%d|policy=%s|app=%s",
 		seed, iv, pen, float64(f), sizes, intervals, label, app)
 	return studyRow(key, func() core.RunResult { return core.RunResult{} }, fn)
+}
+
+// penaltyRaceRow is the row behind ablation-switch: one policy raced at
+// every penalty point in a single Race, results dense by penalty index.
+func penaltyRaceRow(app string, seed uint64, sizes []int, label string, intervals, iv int64, pens []int, f tech.FeatureSize, fn func() ([]core.RunResult, error)) ([]core.RunResult, error) {
+	key := fmt.Sprintf("qrace|seed=%d|iv=%d|pens=%v|f=%g|sizes=%v|n=%d|policy=%s|app=%s",
+		seed, iv, pens, float64(f), sizes, intervals, label, app)
+	return studyRow(key, func() []core.RunResult { return make([]core.RunResult, len(pens)) }, fn)
 }
 
 // combinedRow is the row behind ablation-combined: one application's joint
@@ -185,14 +193,14 @@ func scalarRow(key string, fn func() (float64, error)) (float64, error) {
 	return studyRow(key, func() float64 { return 0 }, fn)
 }
 
-// zooRow is the row behind the zoo experiment: one (application, penalty)
-// cell's complete pass — oracle, fixed baselines, and the contender race —
-// reduced to league summaries. Summaries are what the tables render from, so
-// the persisted value stays small (no event columns) and a warm store
-// re-renders byte-identically. The key carries the contender roster: a
-// changed zoo must miss the cache.
-func zooRow(cfg Config, app string, pen int, intervals int64, fn func() ([]flight.RunSummary, error)) ([]flight.RunSummary, error) {
-	key := fmt.Sprintf("zoo|seed=%d|iv=%d|pen=%d|f=%g|sizes=%v|n=%d|policies=%s|app=%s",
-		cfg.Seed, cfg.IntervalInstrs, pen, float64(cfg.Feature), zooSizes, intervals, zooPolicyNames(), app)
+// zooRow is the row behind the zoo experiment: one application's complete
+// pass — oracle and fixed baselines at every penalty, and the contender race
+// across all penalties — reduced to league summaries. Summaries are what the
+// tables render from, so the persisted value stays small (no event columns)
+// and a warm store re-renders byte-identically. The key carries the
+// penalty list and the contender roster: a changed zoo must miss the cache.
+func zooRow(cfg Config, app string, intervals int64, fn func() ([]flight.RunSummary, error)) ([]flight.RunSummary, error) {
+	key := fmt.Sprintf("zoo|seed=%d|iv=%d|pens=%v|f=%g|sizes=%v|n=%d|policies=%s|app=%s",
+		cfg.Seed, cfg.IntervalInstrs, zooPenalties, float64(cfg.Feature), zooSizes, intervals, zooPolicyNames(), app)
 	return studyRow(key, func() []flight.RunSummary { return nil }, fn)
 }

@@ -14,14 +14,17 @@ func init() {
 	register("zoo", "Policy zoo: adaptive contenders raced against fixed baselines and the per-interval oracle", zoo)
 }
 
-// The zoo experiment races every adaptive-policy contender through ONE
-// lockstep MultiPolicy engine per (application, penalty) cell, alongside the
-// fixed-configuration baselines and the synthesized oracle, and renders the
+// The zoo experiment runs one study row per application: the oracle column
+// and the fixed-configuration baselines at every penalty point, plus ONE
+// Race of every adaptive contender at every penalty, and renders the
 // league/dwell/summary tables from the engines' own flight accumulators
 // (flight.LeagueReport — the same rendering path behind `capsim -report`).
-// Because the tables are built from published run columns, re-running
-// `capsim -report` over a ledger the experiment emitted (-ledger-out)
-// reproduces them byte-for-byte.
+// Racing the penalty axis in one call is what lets copy-on-divergence pay:
+// a contender makes the same decisions at every penalty, so its columns
+// share one simulated core. Because the tables are built from published run
+// columns in the league's total order, re-running `capsim -report` over a
+// ledger the experiment emitted (-ledger-out) reproduces them
+// byte-for-byte, whatever the row shape.
 
 // zooApps pairs the phase-modulated synthetic profiles (which reward
 // adaptation: each phase prefers a different window size) with two paper
@@ -36,24 +39,24 @@ var zooSizes = []int{16, 64, 128}
 // the axis that separates eager switchers from dwellers.
 var zooPenalties = []int{0, 50, 200}
 
-// zooContenders builds one fresh stateful instance of every adaptive policy.
-// All tunables are zero — the documented defaults (internal/core's
-// negative-sentinel convention), so the league measures the out-of-the-box
-// controllers. Deliberately NOT penalty-tuned: stretching dwell floors and
-// exploration cadences with the switch cost was tried and is fragile — it
-// trades the punitive-penalty switch tax for response lag whose regret cost
-// varies per policy and per workload (it regressed more cells than it
-// fixed). The punitive-penalty column is where the league is supposed to
-// separate eager switchers from dwellers; tuning it away would blunt the
-// instrument.
-func zooContenders() []core.PolicySpec {
+// zooContenders builds one fresh stateful instance of every adaptive policy,
+// charged the given switch penalty. All tunables are zero — the documented
+// defaults (internal/core's negative-sentinel convention), so the league
+// measures the out-of-the-box controllers. Deliberately NOT penalty-tuned:
+// stretching dwell floors and exploration cadences with the switch cost was
+// tried and is fragile — it trades the punitive-penalty switch tax for
+// response lag whose regret cost varies per policy and per workload (it
+// regressed more cells than it fixed). The punitive-penalty column is where
+// the league is supposed to separate eager switchers from dwellers; tuning
+// it away would blunt the instrument.
+func zooContenders(pen int) []core.PolicySpec {
 	menu := []int{0, 1, 2}
 	return []core.PolicySpec{
-		{Policy: &core.IntervalPolicy{Configs: menu}},
-		{Policy: &core.HysteresisPolicy{Configs: menu}},
-		{Policy: &core.PIDPolicy{Configs: menu}},
-		{Policy: &core.SlopeBanditPolicy{Configs: menu}},
-		{Policy: &core.ProfileThenCommitPolicy{Configs: menu}},
+		{Policy: &core.IntervalPolicy{Configs: menu}, Penalty: pen},
+		{Policy: &core.HysteresisPolicy{Configs: menu}, Penalty: pen},
+		{Policy: &core.PIDPolicy{Configs: menu}, Penalty: pen},
+		{Policy: &core.SlopeBanditPolicy{Configs: menu}, Penalty: pen},
+		{Policy: &core.ProfileThenCommitPolicy{Configs: menu}, Penalty: pen},
 	}
 }
 
@@ -61,7 +64,7 @@ func zooContenders() []core.PolicySpec {
 // a changed roster must miss the persistent cache.
 func zooPolicyNames() string {
 	var names []string
-	for _, s := range zooContenders() {
+	for _, s := range zooContenders(0) {
 		names = append(names, s.Policy.Name())
 	}
 	return strings.Join(names, ",")
@@ -78,46 +81,55 @@ func zooIntervals(cfg Config) int64 {
 	return n
 }
 
-// zooPass runs one (application, penalty) cell: the oracle column, the three
-// fixed baselines, and a single Race of all contenders, all through one
-// MultiPolicy engine. A private Capture collector reduces every published
-// column to its league summary; the fan-out in flight.Publish means a
-// process-wide ledger (-ledger-out) records the identical columns.
-func zooPass(ctx context.Context, cfg Config, app string, pen int, intervals int64) ([]flight.RunSummary, error) {
+// zooPass runs one application's row: the oracle column and the three
+// fixed baselines at every penalty (one MultiPolicy per penalty, each a
+// cheap replay of the shared interval family), then a single Race of every
+// contender at every penalty. A private Capture collector reduces every
+// published column to its league summary; the fan-out in flight.Publish
+// means a process-wide ledger (-ledger-out) records the identical columns.
+func zooPass(ctx context.Context, cfg Config, app string, intervals int64) ([]flight.RunSummary, error) {
 	b, err := workload.ByName(app)
 	if err != nil {
 		return nil, err
 	}
 	sink := flight.NewCapture()
 	cctx := flight.WithCollector(ctx, flight.NewCollector(sink))
-	mp, err := core.NewMultiPolicy(b, cfg.Seed, zooSizes, cfg.IntervalInstrs, pen, cfg.Feature)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := mp.RunOracle(cctx, intervals); err != nil {
-		return nil, err
-	}
-	for c := range zooSizes {
-		if _, err := mp.RunFixed(cctx, c, intervals); err != nil {
+	var (
+		mp    *core.MultiPolicy
+		specs []core.PolicySpec
+	)
+	for _, pen := range zooPenalties {
+		mp, err = core.NewMultiPolicy(b, cfg.Seed, zooSizes, cfg.IntervalInstrs, pen, cfg.Feature)
+		if err != nil {
 			return nil, err
 		}
+		if _, err := mp.RunOracle(cctx, intervals); err != nil {
+			return nil, err
+		}
+		for c := range zooSizes {
+			if _, err := mp.RunFixed(cctx, c, intervals); err != nil {
+				return nil, err
+			}
+		}
+		specs = append(specs, zooContenders(pen)...)
 	}
-	if _, err := mp.Race(cctx, zooContenders(), intervals); err != nil {
+	// Race columns carry their own penalties; any of the engines serves.
+	if _, err := mp.Race(cctx, specs, intervals); err != nil {
 		return nil, err
 	}
 	return sink.Summaries(), nil
 }
 
-// zoo is the driver: fan the (application × penalty) grid across the sweep
-// pool (each cell one persistable study row), dedup the summaries, and
-// render the three league tables. No notes — the rendered body is exactly
-// the tables, which is what lets `capsim -report` reproduce it.
+// zoo is the driver: fan the applications across the sweep pool (each one
+// persistable study row), dedup the summaries, and render the three league
+// tables. No notes — the rendered body is exactly the tables, which is what
+// lets `capsim -report` reproduce it.
 func zoo(ctx context.Context, cfg Config) (Result, error) {
 	apps := zooApps()
 	intervals := zooIntervals(cfg)
-	grid, err := sweep.GridCtx(ctx, len(apps), len(zooPenalties), func(a, p int) ([]flight.RunSummary, error) {
-		return zooRow(cfg, apps[a], zooPenalties[p], intervals, func() ([]flight.RunSummary, error) {
-			return zooPass(ctx, cfg, apps[a], zooPenalties[p], intervals)
+	rows, err := sweep.RunCtx(ctx, len(apps), func(a int) ([]flight.RunSummary, error) {
+		return zooRow(cfg, apps[a], intervals, func() ([]flight.RunSummary, error) {
+			return zooPass(ctx, cfg, apps[a], intervals)
 		})
 	})
 	if err != nil {
@@ -125,16 +137,14 @@ func zoo(ctx context.Context, cfg Config) (Result, error) {
 	}
 	seen := map[string]bool{}
 	var runs []flight.RunSummary
-	for _, row := range grid {
-		for _, cell := range row {
-			for _, s := range cell {
-				k := flight.SummaryKey(s)
-				if seen[k] {
-					continue
-				}
-				seen[k] = true
-				runs = append(runs, s)
+	for _, row := range rows {
+		for _, s := range row {
+			k := flight.SummaryKey(s)
+			if seen[k] {
+				continue
 			}
+			seen[k] = true
+			runs = append(runs, s)
 		}
 	}
 	return Result{

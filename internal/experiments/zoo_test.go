@@ -16,24 +16,27 @@ func zooTestConfig() Config {
 	return cfg
 }
 
-// TestZooPassInvariants pins one cell's regret accounting: the oracle column
-// has zero regret by construction, every other column's regret is
-// non-negative, and the cell publishes exactly oracle + fixed baselines +
-// contenders.
+// TestZooPassInvariants pins one application row's regret accounting: the
+// oracle column has zero regret by construction, every other column's regret
+// is non-negative, and the row publishes exactly oracle + fixed baselines +
+// contenders at every penalty.
 func TestZooPassInvariants(t *testing.T) {
 	cfg := zooTestConfig()
 	intervals := zooIntervals(cfg)
-	runs, err := zooPass(context.Background(), cfg, "flutter", 50, intervals)
+	runs, err := zooPass(context.Background(), cfg, "flutter", intervals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 1 + len(zooSizes) + len(zooContenders())
+	pens := len(zooPenalties)
+	want := pens * (1 + len(zooSizes) + len(zooContenders(0)))
 	if len(runs) != want {
 		t.Fatalf("%d runs published, want %d", len(runs), want)
 	}
 	kinds := map[string]int{}
+	perPen := map[int]int{}
 	for _, r := range runs {
 		kinds[r.Meta.Kind]++
+		perPen[r.Meta.Penalty]++
 		if r.End.Intervals != intervals {
 			t.Errorf("%s/%s: %d intervals, want %d", r.Meta.Policy, r.Meta.Kind, r.End.Intervals, intervals)
 		}
@@ -46,8 +49,13 @@ func TestZooPassInvariants(t *testing.T) {
 			}
 		}
 	}
-	if kinds[flight.KindOracle] != 1 || kinds[flight.KindFixed] != len(zooSizes) || kinds[flight.KindRace] != len(zooContenders()) {
+	if kinds[flight.KindOracle] != pens || kinds[flight.KindFixed] != pens*len(zooSizes) || kinds[flight.KindRace] != pens*len(zooContenders(0)) {
 		t.Errorf("kind census %v", kinds)
+	}
+	for _, pen := range zooPenalties {
+		if perPen[pen] != want/pens {
+			t.Errorf("penalty census %v", perPen)
+		}
 	}
 }
 
@@ -72,7 +80,7 @@ func TestZooExperiment(t *testing.T) {
 		}
 	}
 	cells := len(zooApps()) * len(zooPenalties)
-	wantRows := cells * (1 + len(zooSizes) + len(zooContenders()))
+	wantRows := cells * (1 + len(zooSizes) + len(zooContenders(0)))
 	if len(res.Tables[0].Rows) != wantRows {
 		t.Errorf("league rows %d, want %d", len(res.Tables[0].Rows), wantRows)
 	}

@@ -168,6 +168,8 @@ func FuzzOooEngines(f *testing.F) {
 	f.Add(uint64(1), []byte{0, 10, 1, 4, 2, 30, 3, 9})
 	f.Add(uint64(42), []byte{2, 0, 0, 200, 1, 0, 2, 255, 3, 50, 0, 3})
 	f.Add(uint64(1998), []byte{0, 255, 2, 1, 0, 255, 1, 255, 2, 140})
+	f.Add(uint64(7), []byte{0, 90, 4, 30, 0, 40, 2, 100, 4, 7, 3, 60, 0, 200})
+	f.Add(uint64(5), []byte{0, 90, 4, 0, 40, 2, 4, 7, 3, 60, 0, 200})
 	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
 		if len(script) > 64 {
 			script = script[:64]
@@ -178,9 +180,15 @@ func FuzzOooEngines(f *testing.F) {
 		esrc := &fuzzSource{l: lcg{x: seed}}
 		sl := &lcg{x: seed ^ 0xabcdef}
 		el := &lcg{x: seed ^ 0xabcdef}
+		type ghost struct {
+			c   *Core
+			src *fuzzSource
+		}
+		var ghosts []ghost
 		for i := 0; i+1 < len(script); i += 2 {
 			op, arg := script[i], int64(script[i+1])
-			switch op % 4 {
+			issued := ev.Stats().Issued
+			switch op % 5 {
 			case 0:
 				sc.Run(ssrc, 1+arg*13)
 				ev.Run(esrc, 1+arg*13)
@@ -196,10 +204,30 @@ func FuzzOooEngines(f *testing.F) {
 				if err := ev.Resize(w); err != nil {
 					t.Fatal(err)
 				}
-			default:
+			case 3:
 				rpi := float64(arg%100) / 100
 				sc.RunWithLoads(ssrc, 1+arg*7, rpi, sl.memLat)
 				ev.RunWithLoads(esrc, 1+arg*7, rpi, el.memLat)
+			default:
+				// Continue on clones. The discarded originals resize away
+				// and keep pace with the clones on sources of their own, so
+				// any slice a clone still shares with its original corrupts
+				// the clone and shows up as a divergence from the scan
+				// engine.
+				osc, oev := sc, ev
+				sc, ev = sc.Clone(), ev.Clone()
+				w := 1 + (int(arg)+17)%140
+				for _, o := range []*Core{osc, oev} {
+					if err := o.Resize(w); err != nil {
+						t.Fatal(err)
+					}
+					ghosts = append(ghosts, ghost{c: o, src: &fuzzSource{l: lcg{x: seed ^ uint64(len(ghosts)+1)*0x9e3779b9}}})
+				}
+			}
+			if d := ev.Stats().Issued - issued; d > 0 {
+				for _, g := range ghosts {
+					g.c.Run(g.src, d)
+				}
 			}
 			if a, b := sc.Stats(), ev.Stats(); a != b {
 				t.Fatalf("op %d (%d,%d): scan %+v != event %+v", i/2, op, arg, a, b)

@@ -143,6 +143,20 @@ func (ev *eventState) grow(window int) {
 	}
 }
 
+// clone deep-copies the event state; see Core.Clone.
+func (ev *eventState) clone() eventState {
+	n := *ev
+	n.slots = cloneCap(ev.slots)
+	n.free = cloneCap(ev.free)
+	n.slotOf = cloneCap(ev.slotOf)
+	n.eligible = cloneCap(ev.eligible)
+	for b := range ev.near {
+		n.near[b] = cloneCap(ev.near[b])
+	}
+	n.far = cloneCap(ev.far)
+	return n
+}
+
 // fileReady routes an entry whose readiness cycle just became known into the
 // select pool (readiness arrived), the near calendar, or the far heap.
 func (c *Core) fileReady(si int32, s *eslot) {

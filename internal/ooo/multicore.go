@@ -73,6 +73,21 @@ func newMultiCore(cfgs []Config, e Engine) (*MultiCore, error) {
 // TestMultiPolicyRaceLockstep).
 func (mc *MultiCore) Cores() []*Core { return mc.cores }
 
+// Fork appends a clone of member i (Core.Clone) whose cursor starts at
+// member i's stream position, and returns the new member's index. From that
+// point the two members are independent columns over the same stream: fed
+// the same configuration history they stay identical, so a caller may share
+// one member among several columns and fork only where their histories
+// diverge (core.MultiPolicy.Race). Call between RunEach rounds; any slice
+// previously returned by Cores may be stale afterwards.
+func (mc *MultiCore) Fork(i int) int {
+	j := len(mc.cores)
+	mc.cores = append(mc.cores, mc.cores[i].Clone())
+	mc.pos = append(mc.pos, mc.pos[i])
+	mc.curs = append(mc.curs, mcCursor{mc: mc, core: j})
+	return j
+}
+
 // mcCursor adapts one core's view of the shared buffer to workload.InstrSource.
 type mcCursor struct {
 	mc   *MultiCore

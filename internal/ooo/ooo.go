@@ -536,3 +536,34 @@ func (c *Core) growRing(need int) {
 		}
 	}
 }
+
+// Clone returns an independent deep copy of the core: the scan window, the
+// completion ring, the event engine's slab, free list, slot map, eligible
+// pool, calendar buckets and far heap, plus statistics, the load fields and
+// the telemetry tallies. Every slice keeps its capacity, so the clone runs
+// as allocation-free as its parent. Fed the same instructions, a clone and
+// its parent produce identical statistics from here on.
+//
+// The clone's publish baselines are its current values: PublishObs on the
+// clone reports only work done after the copy, so forking never
+// double-counts the parent's history. An attached memLat source is shared,
+// not copied (MultiCore attaches loads only for the span of one round).
+func (c *Core) Clone() *Core {
+	n := *c
+	n.window = cloneCap(c.window)
+	n.done = cloneCap(c.done)
+	n.ev = c.ev.clone()
+	n.pubStats, n.pubTal = n.stats, n.tal
+	return &n
+}
+
+// cloneCap copies s into a new slice of the same length and capacity
+// (nil stays nil).
+func cloneCap[T any](s []T) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s), cap(s))
+	copy(out, s)
+	return out
+}
