@@ -25,10 +25,13 @@ race:
 
 # ci-race is the focused race lane over the concurrency-heavy packages — the
 # flight recorder's publication fan-out, the obs counters, the API server's
-# streaming/admission paths and the sweep pool — cheap enough to run on every
-# iteration (the full `race` target covers the whole module).
+# streaming/admission paths, the sweep budget, and the experiment list runner
+# (experiments.RunList over both capbench cold id lists, about 1.5 min under
+# the detector) — cheap enough to run on every iteration (the full `race`
+# target covers the whole module).
 ci-race:
 	$(GO) test -race -timeout 10m ./internal/flight/ ./internal/obs/ ./internal/server/ ./internal/sweep/
+	$(GO) test -race -timeout 10m -run 'RunList' ./internal/experiments/
 
 vet:
 	$(GO) vet ./...

@@ -7,6 +7,8 @@ import (
 	"capsim/internal/cache"
 	"capsim/internal/core"
 	"capsim/internal/experiments"
+	"capsim/internal/obs"
+	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -181,61 +183,133 @@ func BenchmarkQueueProfile(b *testing.B) {
 // application with its candidate size pair × {fixed(0), fixed(1),
 // interval-adaptive} × switch penalty {0, 50, 200} — and reset the trace
 // stores and interval families every iteration, so each iteration is a cold
-// study. Direct simulates every cell on its own QueueMachine; Replay goes
-// through core.RunPolicyStudy, where fixed cells replay one shared interval
-// family per application (the family key excludes the penalty) and the
-// adaptive cell races alone. scripts/bench_policy.sh gates Direct/Replay
-// against the 1.5x floor.
+// study. Direct simulates every cell on its own QueueMachine. Replay runs
+// them the way the zoo and ablation-switch do: fixed cells replay one
+// shared interval family per (application, size) (the family key excludes
+// the penalty), and the three penalties' adaptive cells race as columns of
+// one Race, sharing a core while their decisions agree. Both legs run on one
+// sweep worker. scripts/bench_policy.sh gates Direct/Replay against the
+// 1.5x floor.
 
 var policyStudyApps = []struct {
 	app   string
 	sizes []int
 }{{"turb3d", []int{64, 128}}, {"vortex", []int{16, 64}}}
 
+var policyStudyPenalties = []int{0, 50, 200}
+
 const policyStudyIntervals, policyStudyN = 500, 2000
 
-func benchPolicyStudy(b *testing.B, run func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error)) {
-	defer func() { core.ResetPolicyFamilies(); trace.Reset() }()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		core.ResetPolicyFamilies()
-		trace.Reset()
-		for _, a := range policyStudyApps {
-			bm := workload.MustByName(a.app)
-			for _, pen := range []int{0, 50, 200} {
-				for _, p := range []core.Policy{
-					core.FixedPolicy{Config: 0},
-					core.FixedPolicy{Config: 1},
-					&core.IntervalPolicy{Configs: []int{0, 1}},
-				} {
-					r, err := run(bm, a.sizes, p, pen)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Instrs < policyStudyIntervals*policyStudyN {
-						b.Fatalf("%s/%s/pen=%d: %d instructions", a.app, p.Name(), pen, r.Instrs)
-					}
-				}
+// policyStudyCells runs every application's cells with run, which returns
+// one result per (penalty, policy) cell, and checks each covered the study.
+func policyStudyCells(tb testing.TB, intervals int64, run func(bm workload.Benchmark, sizes []int, intervals int64) ([]core.RunResult, error)) {
+	for _, a := range policyStudyApps {
+		res, err := run(workload.MustByName(a.app), a.sizes, intervals)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(res) != 3*len(policyStudyPenalties) {
+			tb.Fatalf("%s: %d results", a.app, len(res))
+		}
+		for _, r := range res {
+			if r.Instrs < intervals*policyStudyN {
+				tb.Fatalf("%s/%s: %d instructions", a.app, r.Policy, r.Instrs)
 			}
 		}
 	}
 }
 
-// BenchmarkPolicyStudyDirect runs every cell as RunQueue over a private
-// QueueMachine.
-func BenchmarkPolicyStudyDirect(b *testing.B) {
-	benchPolicyStudy(b, func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error) {
-		m, err := core.NewQueueMachine(bm, 1998, sizes, 0, pen, tech.Micron018)
-		if err != nil {
-			return core.RunResult{}, err
+// policyStudyDirect simulates every cell on a private QueueMachine.
+func policyStudyDirect(bm workload.Benchmark, sizes []int, intervals int64) ([]core.RunResult, error) {
+	var out []core.RunResult
+	for _, pen := range policyStudyPenalties {
+		for _, p := range []core.Policy{
+			core.FixedPolicy{Config: 0},
+			core.FixedPolicy{Config: 1},
+			&core.IntervalPolicy{Configs: []int{0, 1}},
+		} {
+			m, err := core.NewQueueMachine(bm, 1998, sizes, 0, pen, tech.Micron018)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, core.RunQueue(m, p, intervals, policyStudyN, false))
 		}
-		return core.RunQueue(m, p, policyStudyIntervals, policyStudyN, false), nil
-	})
+	}
+	return out, nil
 }
 
-// BenchmarkPolicyStudyReplay runs every cell through core.RunPolicyStudy.
-func BenchmarkPolicyStudyReplay(b *testing.B) {
-	benchPolicyStudy(b, func(bm workload.Benchmark, sizes []int, p core.Policy, pen int) (core.RunResult, error) {
-		return core.RunPolicyStudy(context.Background(), bm, 1998, sizes, p, policyStudyIntervals, policyStudyN, pen, tech.Micron018)
-	})
+// policyStudyReplay replays the fixed cells from the interval families and
+// races the adaptive cells of every penalty as columns of one Race.
+func policyStudyReplay(bm workload.Benchmark, sizes []int, intervals int64) ([]core.RunResult, error) {
+	ctx := context.Background()
+	var (
+		out   []core.RunResult
+		specs []core.PolicySpec
+		mp    *core.MultiPolicy
+		err   error
+	)
+	for _, pen := range policyStudyPenalties {
+		if mp, err = core.NewMultiPolicy(bm, 1998, sizes, policyStudyN, pen, tech.Micron018); err != nil {
+			return nil, err
+		}
+		for cfg := range 2 {
+			r, err := mp.RunFixed(ctx, cfg, intervals)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, r)
+		}
+		specs = append(specs, core.PolicySpec{Policy: &core.IntervalPolicy{Configs: []int{0, 1}}, Penalty: pen})
+	}
+	// Race columns carry their own penalties; any of the engines serves.
+	raced, err := mp.Race(ctx, specs, intervals)
+	return append(out, raced...), err
+}
+
+func benchPolicyStudy(b *testing.B, run func(bm workload.Benchmark, sizes []int, intervals int64) ([]core.RunResult, error)) {
+	// One worker: the gate compares the algorithms, and Direct is serial.
+	defer sweep.SetDefaultWorkers(sweep.DefaultWorkers())
+	sweep.SetDefaultWorkers(1)
+	defer func() { core.ResetPolicyFamilies(); trace.Reset() }()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.ResetPolicyFamilies()
+		trace.Reset()
+		policyStudyCells(b, policyStudyIntervals, run)
+	}
+}
+
+// BenchmarkPolicyStudyDirect runs every cell as RunQueue over a private
+// QueueMachine.
+func BenchmarkPolicyStudyDirect(b *testing.B) { benchPolicyStudy(b, policyStudyDirect) }
+
+// BenchmarkPolicyStudyReplay runs the cells through the family replay and
+// one penalty-column Race per application.
+func BenchmarkPolicyStudyReplay(b *testing.B) { benchPolicyStudy(b, policyStudyReplay) }
+
+// TestPolicyStudyReplayShares is the deterministic companion of `make
+// bench-policy`: for the benchmark's cells, the replay path's simulated
+// core-intervals per served policy-interval (policy.core_cells /
+// policy.cells) must not grow. Per application and interval the replay
+// serves 5 policy cells — 2 family columns and 3 race columns — from 3
+// simulated cores: the 2 family cores and the one core the race columns
+// share, since interval-adaptive's decisions do not depend on the penalty.
+func TestPolicyStudyReplayShares(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+	core.ResetPolicyFamilies()
+	defer core.ResetPolicyFamilies()
+	before := obs.TakeSnapshot()
+	const intervals = 40
+	policyStudyCells(t, intervals, policyStudyReplay)
+	d := obs.TakeSnapshot().DiffCounters(before)
+	cells, coreCells := d["policy.cells"], d["policy.core_cells"]
+	want := int64(len(policyStudyApps)) * 5 * intervals
+	if cells != want {
+		t.Fatalf("policy.cells %d, want %d", cells, want)
+	}
+	if 5*coreCells > 3*cells {
+		t.Fatalf("policy.core_cells/policy.cells = %d/%d, above 3/5", coreCells, cells)
+	}
 }

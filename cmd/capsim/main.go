@@ -19,6 +19,9 @@
 // Output is byte-identical at every -parallel setting: simulation jobs derive
 // their random streams from (seed, benchmark, purpose) and results are
 // collected by grid index, so the worker count changes only the wall time.
+// The ids of a list are computed concurrently under the one -parallel budget
+// and printed in list order, each as soon as it and every earlier id are
+// done.
 // Renders are also pinned: internal/experiments/testdata/render_digests.json
 // holds the SHA-256 of every experiment's render at a test budget, and the
 // determinism test fails on any drift. The telemetry flags
@@ -87,7 +90,7 @@ func run() (err error) {
 		interval    = flag.Int64("interval", 2_000, "interval length in instructions (Section 6 studies)")
 		penalty     = flag.Int("switch-penalty", -1, "clock-switch penalty in cycles (-1 = default)")
 		feature     = flag.Float64("feature", 0.18, "feature size in microns (0.25, 0.18, 0.12)")
-		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count (1 = serial; output is identical at any setting)")
+		parallel    = flag.Int("parallel", runtime.GOMAXPROCS(0), "most goroutines simulating at once, over the whole -experiment list and its nested sweeps (1 = serial; output is identical at any setting)")
 		studyCache  = flag.String("study-cache", "", "persistent content-addressed study cache directory; repeated runs, CI and shard workers reuse finished profiling rows instead of recomputing (output is identical with or without)")
 		shardSpec   = flag.String("shard", "", "run as static shard i/N: compute and publish only the study rows bucket i owns, render nothing (requires -study-cache)")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -270,11 +273,10 @@ func run() (err error) {
 		})
 	}
 
-	// -experiment accepts a comma-separated list ("fig12,fig13,oracleTPI"):
-	// the ids run in the given order in ONE process, so passes they share —
-	// materialized traces, classification streams, interval families — are
-	// computed once and reused across them, exactly what `make bench-policy`
-	// measures.
+	// -experiment accepts a comma-separated list ("fig12,fig13,zoo"): the
+	// ids run in ONE process, so passes they share — materialized traces,
+	// classification streams, interval families, studies — are computed
+	// once and reused across them.
 	ids := strings.Split(*experiment, ",")
 	if *experiment == "all" {
 		ids = experiments.IDs()
@@ -290,32 +292,41 @@ func run() (err error) {
 		manifest.CacheRefs = cfg.CacheRefs
 		manifest.QueueInstrs = cfg.QueueInstrs
 	}
-	var before, after runtime.MemStats
-	for _, id := range ids {
-		var snapBefore obs.Snapshot
-		if *metricsOut != "" {
+	// The ids are computed concurrently under the one -parallel budget and
+	// rendered in list order; per-experiment manifest records are deltas
+	// over each experiment's own span, so they overlap.
+	var recs []obs.ExperimentRecord
+	var around func(i int, run func())
+	if *metricsOut != "" {
+		recs = make([]obs.ExperimentRecord, len(ids))
+		around = func(i int, run func()) {
+			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			snapBefore = obs.TakeSnapshot()
-		}
-		start := time.Now()
-		res, err := experiments.Run(id, cfg)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		fmt.Fprint(out, res.Render())
-		fmt.Fprintf(out, "(%s in %.1fs)\n\n", id, wall.Seconds())
-		if *metricsOut != "" {
+			snapBefore := obs.TakeSnapshot()
+			start := time.Now()
+			run()
+			wall := time.Since(start)
 			runtime.ReadMemStats(&after)
-			title, _ := experiments.Title(id)
-			manifest.Experiments = append(manifest.Experiments, obs.ExperimentRecord{
-				ID: id, Title: title, WallNS: wall.Nanoseconds(),
+			title, _ := experiments.Title(ids[i])
+			recs[i] = obs.ExperimentRecord{
+				ID: ids[i], Title: title, WallNS: wall.Nanoseconds(),
 				Allocs: after.Mallocs - before.Mallocs, AllocBytes: after.TotalAlloc - before.TotalAlloc,
 				Counters: obs.TakeSnapshot().DiffCounters(snapBefore),
-			})
-			manifest.TotalWallNS += wall.Nanoseconds()
+			}
 		}
 	}
+	start := time.Now()
+	err = experiments.RunList(context.Background(), ids, cfg, around, func(i int, res experiments.Result, wall time.Duration) {
+		fmt.Fprint(out, res.Render())
+		fmt.Fprintf(out, "(%s in %.1fs)\n\n", ids[i], wall.Seconds())
+		if recs != nil {
+			manifest.Experiments = append(manifest.Experiments, recs[i])
+		}
+	})
+	if err != nil {
+		return err
+	}
+	manifest.TotalWallNS = time.Since(start).Nanoseconds()
 	if *shardSpec != "" {
 		fmt.Fprintf(os.Stderr, "capsim: shard %s published its rows of %d experiments to %s\n",
 			*shardSpec, len(ids), experiments.StudyCacheDir())

@@ -166,11 +166,7 @@ func (mp *MultiPolicy) oracleColumn(cycles, issued [][]int64, oCfg []int, oNS []
 // league table carries its own reference. When the recorder is active the
 // column is published under kind "oracle" with cumulative regret exactly 0.
 func (mp *MultiPolicy) RunOracle(ctx context.Context, intervals int64) (RunResult, error) {
-	fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
-	if err != nil {
-		return RunResult{}, err
-	}
-	cycles, issued, err := fam.rows(ctx, intervals)
+	cycles, issued, err := familyRows(ctx, mp.b, mp.seed, mp.sizes, mp.n, intervals)
 	if err != nil {
 		return RunResult{}, err
 	}

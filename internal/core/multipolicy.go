@@ -11,6 +11,7 @@ import (
 	"capsim/internal/obs"
 	"capsim/internal/ooo"
 	"capsim/internal/palacharla"
+	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 	"capsim/internal/workload"
@@ -25,35 +26,37 @@ var (
 	obsCoreCells   = obs.NewCounter("policy.core_cells")
 )
 
-// intervalKey identifies one interval family: the per-size, per-interval raw
-// core outcomes (cycles, issued) of an application's stream chopped into
-// n-instruction intervals. The key deliberately EXCLUDES the clock-switch
-// penalty and the feature size: interval outcomes are pure core statistics —
-// periods and penalties are applied at replay time — so fig12/fig13, the
-// per-interval oracle, and every ablation penalty point share one family.
+// intervalKey identifies one interval family: one queue size's raw core
+// outcomes (cycles, issued) per interval of an application's stream chopped
+// into n-instruction intervals. The key deliberately EXCLUDES the
+// clock-switch penalty, the feature size and the sibling sizes: interval
+// outcomes are pure statistics of a fixed-size core — periods and
+// penalties are applied at replay time, and a fixed-size core does not
+// depend on the other sizes studied beside it — so fig12/fig13, the
+// per-interval oracle, every ablation penalty point and the zoo's larger
+// size menu share one family per (app, seed, size, n).
 type intervalKey struct {
-	app   string
-	seed  uint64
-	sizes string // fmt.Sprint of the size list (order matters)
-	n     int64  // instructions per interval
+	app  string
+	seed uint64
+	size int
+	n    int64 // instructions per interval
 }
 
 // intervalFamily is the memoized computation behind the one-pass interval
-// engines: a live MultiCore (one member per queue size) advancing through
-// the shared instruction stream, plus the per-size append-only streams of
+// engines: a live core of one queue size advancing through the
+// application's shared instruction stream, plus the append-only streams of
 // raw interval outcomes it has produced so far. Consumers extend it to the
 // interval count they need and replay the prefix; a later consumer needing
-// more intervals resumes the same cores — the family is a fresh full-length
+// more intervals resumes the same core — the family is a fresh full-length
 // run paused at its high-water mark, so prefixes are bit-identical at every
 // extension.
 type intervalFamily struct {
 	mu     sync.Mutex
-	mc     *ooo.MultiCore
+	core   *ooo.Core
 	stream workload.InstrSource
 	n      int64
-	done   int64
-	cycles [][]int64 // [size][interval]: core cycles of that interval
-	issued [][]int64 // [size][interval]: instructions issued (>= n)
+	cycles []int64 // [interval]: core cycles of that interval
+	issued []int64 // [interval]: instructions issued (>= n)
 }
 
 // families memoizes interval families per key with singleflight semantics;
@@ -64,71 +67,79 @@ var families memo.Memo[intervalKey, *intervalFamily]
 // long-lived processes; one-shot CLI runs never need it).
 func ResetPolicyFamilies() { families.Reset() }
 
-// familyFor returns the (possibly already advanced) interval family for the
-// given application and size list.
-func familyFor(b workload.Benchmark, seed uint64, sizes []int, n int64) (*intervalFamily, error) {
-	key := intervalKey{app: b.Name, seed: seed, sizes: fmt.Sprint(sizes), n: n}
+// familyFor returns the (possibly already advanced) interval family of one
+// queue size.
+func familyFor(b workload.Benchmark, seed uint64, size int, n int64) (*intervalFamily, error) {
+	key := intervalKey{app: b.Name, seed: seed, size: size, n: n}
 	return families.Do(key, func() (*intervalFamily, error) {
-		if len(sizes) == 0 {
-			return nil, fmt.Errorf("core: no queue sizes")
+		if size < 1 {
+			return nil, fmt.Errorf("core: queue size %d invalid", size)
 		}
-		cfgs := make([]ooo.Config, len(sizes))
-		for i, w := range sizes {
-			if w < 1 {
-				return nil, fmt.Errorf("core: queue size %d invalid", w)
-			}
-			cfgs[i] = ooo.PaperConfig(w)
-		}
-		mc, err := ooo.NewMultiCore(cfgs)
+		c, err := ooo.New(ooo.PaperConfig(size))
 		if err != nil {
 			return nil, err
 		}
-		return &intervalFamily{
-			mc:     mc,
-			stream: trace.InstrSourceFor(b, seed),
-			n:      n,
-			cycles: make([][]int64, len(sizes)),
-			issued: make([][]int64, len(sizes)),
-		}, nil
+		return &intervalFamily{core: c, stream: trace.InstrSourceFor(b, seed), n: n}, nil
 	})
 }
 
+// familyRows returns the per-size outcome prefixes of `intervals` intervals
+// for a size list, extending the sizes' families as a sweep under ctx's
+// budget (independent cores, so they extend concurrently).
+func familyRows(ctx context.Context, b workload.Benchmark, seed uint64, sizes []int, n, intervals int64) (cycles, issued [][]int64, err error) {
+	if len(sizes) == 0 {
+		return nil, nil, fmt.Errorf("core: no queue sizes")
+	}
+	type prefix struct{ cycles, issued []int64 }
+	rows, err := sweep.RunCtx(ctx, len(sizes), func(i int) (prefix, error) {
+		f, err := familyFor(b, seed, sizes[i], n)
+		if err != nil {
+			return prefix{}, err
+		}
+		c, is, err := f.rows(ctx, intervals)
+		return prefix{c, is}, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	cycles = make([][]int64, len(sizes))
+	issued = make([][]int64, len(sizes))
+	for i, r := range rows {
+		cycles[i], issued[i] = r.cycles, r.issued
+	}
+	return cycles, issued, nil
+}
+
 // extendTo advances the family to at least `intervals` materialized
-// intervals, one lockstep RunEach round per interval. Partial progress is
-// kept on cancellation — the family stays consistent at whatever interval
-// count it reached. Callers must hold f.mu.
+// intervals, one Run per interval. Partial progress is kept on
+// cancellation — the family stays consistent at whatever interval count it
+// reached. Callers must hold f.mu.
 func (f *intervalFamily) extendTo(ctx context.Context, intervals int64) error {
-	for f.done < intervals {
+	for int64(len(f.cycles)) < intervals {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		for i, st := range f.mc.RunEach(f.stream, f.n) {
-			f.cycles[i] = append(f.cycles[i], st.Cycles)
-			f.issued[i] = append(f.issued[i], st.Issued)
-		}
-		f.done++
-		obsPolicyCells.Add1(int64(len(f.cycles)))
-		obsCoreCells.Add1(int64(len(f.cycles)))
+		st := f.core.Run(f.stream, f.n)
+		f.cycles = append(f.cycles, st.Cycles)
+		f.issued = append(f.issued, st.Issued)
+		obsPolicyCells.Inc1()
+		obsCoreCells.Inc1()
 	}
 	return nil
 }
 
-// rows extends the family to `intervals` and returns copies of the
-// per-size outcome prefixes. Copies, not views: another goroutine may
-// extend (and so reallocate) the live streams as soon as the lock drops.
-func (f *intervalFamily) rows(ctx context.Context, intervals int64) (cycles, issued [][]int64, err error) {
+// rows extends the family to `intervals` and returns copies of the outcome
+// prefixes. Copies, not views: another goroutine may extend (and so
+// reallocate) the live streams as soon as the lock drops.
+func (f *intervalFamily) rows(ctx context.Context, intervals int64) (cycles, issued []int64, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.extendTo(ctx, intervals); err != nil {
 		return nil, nil, err
 	}
-	cycles = make([][]int64, len(f.cycles))
-	issued = make([][]int64, len(f.issued))
-	for i := range f.cycles {
-		cycles[i] = append([]int64(nil), f.cycles[i][:intervals]...)
-		issued[i] = append([]int64(nil), f.issued[i][:intervals]...)
-	}
-	f.mc.PublishObs()
+	cycles = append([]int64(nil), f.cycles[:intervals]...)
+	issued = append([]int64(nil), f.issued[:intervals]...)
+	f.core.PublishObs()
 	return cycles, issued, nil
 }
 
@@ -201,11 +212,7 @@ func NewMultiPolicy(b workload.Benchmark, seed uint64, sizes []int, n int64, pen
 // QueueMachine.RunInterval's float operation order (cycles × period, divided
 // by issued), so each trace is bit-identical to a private machine.
 func (mp *MultiPolicy) Traces(ctx context.Context, intervals int64) ([][]float64, error) {
-	fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
-	if err != nil {
-		return nil, err
-	}
-	cycles, issued, err := fam.rows(ctx, intervals)
+	cycles, issued, err := familyRows(ctx, mp.b, mp.seed, mp.sizes, mp.n, intervals)
 	if err != nil {
 		return nil, err
 	}
@@ -235,11 +242,7 @@ func (mp *MultiPolicy) RunFixed(ctx context.Context, cfg int, intervals int64) (
 	if cfg < 0 || cfg >= len(mp.sizes) {
 		return RunResult{}, fmt.Errorf("core: fixed config %d outside [0,%d)", cfg, len(mp.sizes))
 	}
-	fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
-	if err != nil {
-		return RunResult{}, err
-	}
-	cycles, issued, err := fam.rows(ctx, intervals)
+	cycles, issued, err := familyRows(ctx, mp.b, mp.seed, mp.sizes, mp.n, intervals)
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -374,11 +377,7 @@ func (mp *MultiPolicy) race(ctx context.Context, specs []PolicySpec, intervals i
 		ivSwitched []bool
 	)
 	if rec {
-		fam, err := familyFor(mp.b, mp.seed, mp.sizes, mp.n)
-		if err != nil {
-			return nil, 0, err
-		}
-		famCycles, _, err := fam.rows(ctx, intervals)
+		famCycles, _, err := familyRows(ctx, mp.b, mp.seed, mp.sizes, mp.n, intervals)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -48,14 +48,14 @@ func cacheStudyKey(cfg Config) string {
 // pass over the shared materialized trace. Results land at their slice index,
 // so the output is byte-identical at any worker count.
 func runCacheStudy(ctx context.Context, cfg Config) (*cacheStudy, error) {
-	return studyDo(ctx, &cacheStudies, cacheStudyKey(cfg), func() (*cacheStudy, error) {
+	return studyDo(ctx, &cacheStudies, cacheStudyKey(cfg), func(j *sweep.Joint) (*cacheStudy, error) {
 		s := &cacheStudy{
 			apps:    workload.CacheApps(),
 			tpi:     map[string][]float64{},
 			tpiMiss: map[string][]float64{},
 		}
 		nB := core.PaperMaxBoundary
-		rows, err := sweep.RunCtx(ctx, len(s.apps), func(a int) (cacheRow, error) {
+		rows, err := sweep.RunJoint(ctx, j, len(s.apps), func(a int) (cacheRow, error) {
 			return cacheProfileRow(s.apps[a], cfg.Seed, cfg.CacheParams, nB, cfg.CacheWarmRefs, cfg.CacheRefs)
 		})
 		if err != nil {

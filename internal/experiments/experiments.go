@@ -12,14 +12,17 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"capsim/internal/cache"
 	"capsim/internal/classify"
 	"capsim/internal/core"
+	"capsim/internal/flight"
 	"capsim/internal/memo"
 	"capsim/internal/metrics"
 	"capsim/internal/obs"
+	"capsim/internal/sweep"
 	"capsim/internal/tech"
 	"capsim/internal/trace"
 )
@@ -202,7 +205,8 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 		return Result{}, err
 	}
 	obsExperiments.Inc1()
-	sp := obs.StartSpan("experiment:"+id, 0)
+	tid, _ := ctx.Value(tidKey{}).(int64)
+	sp := obs.StartSpan("experiment:"+id, tid)
 	t0 := time.Now()
 	res, err := e.run(ctx, cfg)
 	obsExpNS.Observe(time.Since(t0).Nanoseconds())
@@ -215,6 +219,86 @@ func RunCtx(ctx context.Context, id string, cfg Config) (Result, error) {
 	return res, nil
 }
 
+// tidKey carries the trace track of an experiment run by RunList (the
+// orchestrator track 0 otherwise).
+type tidKey struct{}
+
+// RunList computes the experiments of ids concurrently under ctx's sweep
+// budget — the whole list shares one budget, nested sweeps included — and
+// hands each result to emit in list order, as soon as it and every earlier
+// id are done. On failure it returns the lowest-indexed id's error, after
+// emitting every id before it, exactly as a loop running the ids one after
+// another would; at a budget of 1 it is that loop. Once ctx is cancelled no
+// further id is emitted and RunList returns ctx's error.
+//
+// around, when non-nil, wraps each id's computation on the goroutine that
+// runs it (cmd/capsim measures per-experiment deltas there); it must call
+// run exactly once. wall is the id's own computation time, so walls of
+// concurrently computed ids overlap. The flight ledger keeps list order
+// (flight.Sequence), and with tracing on each id's span gets its own track.
+func RunList(ctx context.Context, ids []string, cfg Config, around func(i int, run func()), emit func(i int, res Result, wall time.Duration)) error {
+	seq := flight.NewSequence()
+	tids := obs.WorkerTIDs(len(ids), "experiment")
+	var (
+		mu       sync.Mutex
+		head     int // ids below head are emitted (or being emitted)
+		emitting bool
+		done     = make([]bool, len(ids))
+		res      = make([]Result, len(ids))
+		walls    = make([]time.Duration, len(ids))
+	)
+	_, err := sweep.RunCtx(ctx, len(ids), func(i int) (struct{}, error) {
+		ictx := seq.Section(ctx, i)
+		if tids != 0 {
+			ictx = context.WithValue(ictx, tidKey{}, tids+int64(i))
+		}
+		var (
+			r    Result
+			err  error
+			wall time.Duration
+		)
+		run := func() {
+			t0 := time.Now()
+			r, err = RunCtx(ictx, ids[i], cfg)
+			wall = time.Since(t0)
+		}
+		if around != nil {
+			around(i, run)
+		} else {
+			run()
+		}
+		if err != nil {
+			return struct{}{}, err
+		}
+		// The goroutine that finds the head done emits, in order and
+		// outside the lock, until it reaches an id still running; ids
+		// finishing meanwhile leave their emission to it.
+		mu.Lock()
+		res[i], walls[i], done[i] = r, wall, true
+		if emitting {
+			mu.Unlock()
+			return struct{}{}, nil
+		}
+		emitting = true
+		for head < len(ids) && done[head] && ctx.Err() == nil {
+			k, kres := head, res[head]
+			res[head] = Result{}
+			head++
+			mu.Unlock()
+			emit(k, kres, walls[k])
+			seq.Done(k)
+			mu.Lock()
+		}
+		emitting = false
+		mu.Unlock()
+		return struct{}{}, nil
+	})
+	if err == nil && head < len(ids) {
+		err = ctx.Err() // cancelled after the last id finished
+	}
+	return err
+}
+
 // SetStudyCacheCap bounds the memoized cache- and queue-study passes to at
 // most n entries each, with deterministic LRU eviction (memo.SetCap). The
 // long-lived API server sets this at startup so a stream of requests with
@@ -225,16 +309,34 @@ func SetStudyCacheCap(n int) {
 	queueStudies.SetCap(n)
 }
 
-// studyDo wraps a study memo's Do with the cancellation contract: a
+// studyJoints holds the sweep.Joint of each study being computed, keyed by
+// memo and key.
+var studyJoints sync.Map
+
+type studyJointKey struct {
+	memo any
+	key  string
+}
+
+// studyDo wraps a study memo's Do with two rules. Joining: fn runs its row
+// sweep through the sweep.Joint it is handed, and a caller arriving while
+// another goroutine computes the study first works on that sweep's
+// unclaimed rows, then waits for the rest — concurrently run experiments
+// sharing a study split its rows instead of one idling. Cancellation: a
 // profiling pass that failed with a context error is forgotten instead of
 // memoized, because the cancellation belonged to whichever request happened
 // to compute the entry — not to the configuration. Callers whose own ctx is
 // still live retry (and recompute under their ctx); callers whose ctx caused
 // the cancellation return it. Deterministic compute errors stay memoized as
 // before.
-func studyDo[V any](ctx context.Context, m *memo.Memo[string, V], key string, fn func() (V, error)) (V, error) {
+func studyDo[V any](ctx context.Context, m *memo.Memo[string, V], key string, fn func(j *sweep.Joint) (V, error)) (V, error) {
+	jk := studyJointKey{m, key}
+	jv, _ := studyJoints.LoadOrStore(jk, new(sweep.Joint))
+	j := jv.(*sweep.Joint)
+	defer studyJoints.Delete(jk)
 	for {
-		v, err := m.Do(key, fn)
+		j.Join()
+		v, err := m.Do(key, func() (V, error) { return fn(j) })
 		if err == nil || (!errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)) {
 			return v, err
 		}

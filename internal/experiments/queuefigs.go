@@ -41,13 +41,13 @@ func queueStudyKey(cfg Config) string {
 // collected by index, never by completion order, so output is byte-identical
 // at any worker count.
 func runQueueStudy(ctx context.Context, cfg Config) (*queueStudy, error) {
-	return studyDo(ctx, &queueStudies, queueStudyKey(cfg), func() (*queueStudy, error) {
+	return studyDo(ctx, &queueStudies, queueStudyKey(cfg), func(j *sweep.Joint) (*queueStudy, error) {
 		s := &queueStudy{
 			apps:  workload.QueueApps(),
 			sizes: core.PaperQueueSizes(),
 			tpi:   map[string][]float64{},
 		}
-		rows, err := sweep.RunCtx(ctx, len(s.apps), func(a int) ([]float64, error) {
+		rows, err := sweep.RunJoint(ctx, j, len(s.apps), func(a int) ([]float64, error) {
 			return queueProfileRow(s.apps[a], cfg.Seed, s.sizes, cfg.QueueInstrs, cfg.Feature)
 		})
 		if err != nil {

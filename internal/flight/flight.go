@@ -250,11 +250,99 @@ func Active(ctx context.Context) bool {
 // must never be mutated afterward; engines satisfy this for free by
 // publishing a freshly built private slice and dropping their reference.
 func Publish(ctx context.Context, meta RunMeta, events []Event, end RunEnd) {
-	if c := proc.Load(); c != nil {
+	c := fromCtx(ctx)
+	if s, ok := ctx.Value(seqKey{}).(seqSection); ok {
+		if c != nil && c != s.outer {
+			// A collector installed inside the section (the zoo's own
+			// league sink) replaces the outer one and sees its runs at
+			// once; only the process-wide collector waits for the head.
+			c.PublishRun(meta, events, end)
+			c = nil
+		}
+		s.q.publish(s.sec, heldRun{c, meta, events, end})
+		return
+	}
+	deliver(c, meta, events, end)
+}
+
+// deliver publishes to the process-wide collector and c (if any).
+func deliver(c *Collector, meta RunMeta, events []Event, end RunEnd) {
+	if p := proc.Load(); p != nil {
+		p.PublishRun(meta, events, end)
+	}
+	if c != nil {
 		c.PublishRun(meta, events, end)
 	}
-	if c := fromCtx(ctx); c != nil {
-		c.PublishRun(meta, events, end)
+}
+
+// Sequence keeps a list run's ledger in list order. Experiments of one
+// `capsim -experiment a,b,c` run are computed concurrently, but a run
+// published under section i (Section) reaches the collectors the section
+// was opened under — the process-wide one and the context's — only after
+// every run of the sections before it: runs of a section that is not yet
+// the head are held until Done moves the head to it. Within a section,
+// runs keep publication order, as they always have at parallel > 1. A
+// collector installed inside a section replaces the context's, as
+// WithCollector always does, and receives its runs at once.
+type Sequence struct {
+	mu   sync.Mutex
+	head int
+	held map[int][]heldRun
+}
+
+// heldRun is one run column waiting for its section to become the head,
+// with the context collector it goes to.
+type heldRun struct {
+	c      *Collector
+	meta   RunMeta
+	events []Event
+	end    RunEnd
+}
+
+// NewSequence returns a sequence whose head is section 0.
+func NewSequence() *Sequence { return &Sequence{held: map[int][]heldRun{}} }
+
+// seqKey carries a run's sequence and section.
+type seqKey struct{}
+
+type seqSection struct {
+	q     *Sequence
+	sec   int
+	outer *Collector // the context collector when the section opened
+}
+
+// Section returns a context whose publications belong to section i of q.
+func (q *Sequence) Section(ctx context.Context, i int) context.Context {
+	return context.WithValue(ctx, seqKey{}, seqSection{q, i, fromCtx(ctx)})
+}
+
+// publish delivers r now if its section is the head (or before it), and
+// holds it otherwise.
+func (q *Sequence) publish(sec int, r heldRun) {
+	q.mu.Lock()
+	if sec > q.head {
+		q.held[sec] = append(q.held[sec], r)
+		q.mu.Unlock()
+		return
+	}
+	q.mu.Unlock()
+	deliver(r.c, r.meta, r.events, r.end)
+}
+
+// Done marks section i — the head — complete, makes section i+1 the head
+// and publishes the runs it held. Call it once per section, in order.
+func (q *Sequence) Done(i int) {
+	q.mu.Lock()
+	if i != q.head {
+		q.mu.Unlock()
+		panic(fmt.Sprintf("flight: sequence section %d done while the head is %d", i, q.head))
+	}
+	q.head++
+	runs := q.held[q.head]
+	delete(q.held, q.head)
+	q.mu.Unlock()
+	for _, r := range runs {
+		deliver(r.c, r.meta, r.events, r.end)
 	}
 }
 

@@ -350,3 +350,48 @@ func TestParseLedgerRejectsGarbage(t *testing.T) {
 		t.Fatal("want error for missing header")
 	}
 }
+
+// TestSequenceListOrder: runs published under later sections wait for the
+// head; Done releases them in section order, and a collector installed
+// inside a section receives its runs at once.
+func TestSequenceListOrder(t *testing.T) {
+	procSink, outerSink, innerSink := &memSink{}, &memSink{}, &memSink{}
+	SetCollector(NewCollector(procSink))
+	defer SetCollector(nil)
+	base := WithCollector(context.Background(), NewCollector(outerSink))
+	q := NewSequence()
+	sec := func(i int) context.Context { return q.Section(base, i) }
+	pub := func(ctx context.Context, app string) { Publish(ctx, RunMeta{App: app}, nil, RunEnd{}) }
+	apps := func(s *memSink) string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		var out []string
+		for _, m := range s.metas {
+			out = append(out, m.App)
+		}
+		return strings.Join(out, ",")
+	}
+
+	pub(sec(2), "c1")
+	pub(sec(1), "b1")
+	inner := WithCollector(sec(1), NewCollector(innerSink))
+	pub(inner, "b2")
+	pub(sec(0), "a1")
+	if got := apps(procSink); got != "a1" {
+		t.Fatalf("before Done: process collector saw %q, want only the head's run", got)
+	}
+	if got := apps(innerSink); got != "b2" {
+		t.Fatalf("inner collector saw %q, want its run at once", got)
+	}
+	q.Done(0)
+	pub(sec(1), "b3")
+	q.Done(1)
+	q.Done(2)
+	pub(sec(3), "d1")
+	if got, want := apps(procSink), "a1,b1,b2,b3,c1,d1"; got != want {
+		t.Fatalf("process collector order %q, want %q", got, want)
+	}
+	if got, want := apps(outerSink), "a1,b1,b3,c1,d1"; got != want {
+		t.Fatalf("outer collector order %q, want %q (the inner one replaced it for b2)", got, want)
+	}
+}

@@ -51,14 +51,18 @@ func ReadBuildInfo() BuildInfo {
 
 // ExperimentRecord is one experiment's measured cost inside a manifest: wall
 // time, process-wide allocation deltas, and — when metric recording was on —
-// the non-zero counter deltas attributable to the experiment.
+// the non-zero counter deltas, all taken over the experiment's own span.
+// The experiments of an id list run concurrently, so their spans and deltas
+// overlap: a delta includes whatever the other experiments did meanwhile,
+// and the records do not sum to the run (Manifest.TotalWallNS is the list's
+// wall time).
 type ExperimentRecord struct {
 	ID     string `json:"id"`
 	Title  string `json:"title"`
 	WallNS int64  `json:"wall_ns"`
-	// Allocs and AllocBytes are process-wide deltas over the experiment
-	// (runtime.ReadMemStats), attributing every allocation made by the
-	// experiment's goroutines, including the sweep workers.
+	// Allocs and AllocBytes are process-wide deltas over the experiment's
+	// span (runtime.ReadMemStats): every allocation made meanwhile, by its
+	// sweep workers and by any experiment overlapping it.
 	Allocs     uint64           `json:"allocs"`
 	AllocBytes uint64           `json:"alloc_bytes"`
 	Counters   map[string]int64 `json:"counters,omitempty"`

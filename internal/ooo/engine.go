@@ -6,8 +6,10 @@ import "fmt"
 // bit-identical Stats for any instruction stream and any schedule of Run,
 // RunWithLoads, Drain and Resize calls; they differ only in cost:
 //
-//   - EngineEvent: event-driven wakeup + ordered select. Per issued
-//     instruction O(log W); per idle cycle O(1).
+//   - EngineEvent: event-driven wakeup + a bitmap priority-encoder select
+//     over a seq-indexed entry ring. Cost per issued instruction is
+//     constant apart from the select sweep's word reads; stall cycles are
+//     skipped outright.
 //   - EngineScan: the direct priority-encoder model. Per cycle O(W)
 //     regardless of activity.
 //

@@ -170,76 +170,99 @@ func FuzzOooEngines(f *testing.F) {
 	f.Add(uint64(1998), []byte{0, 255, 2, 1, 0, 255, 1, 255, 2, 140})
 	f.Add(uint64(7), []byte{0, 90, 4, 30, 0, 40, 2, 100, 4, 7, 3, 60, 0, 200})
 	f.Add(uint64(5), []byte{0, 90, 4, 0, 40, 2, 4, 7, 3, 60, 0, 200})
-	f.Fuzz(func(t *testing.T, seed uint64, script []byte) {
-		if len(script) > 64 {
-			script = script[:64]
-		}
-		sc, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineScan)
-		ev, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineEvent)
-		ssrc := &fuzzSource{l: lcg{x: seed}}
-		esrc := &fuzzSource{l: lcg{x: seed}}
-		sl := &lcg{x: seed ^ 0xabcdef}
-		el := &lcg{x: seed ^ 0xabcdef}
-		type ghost struct {
-			c   *Core
-			src *fuzzSource
-		}
-		var ghosts []ghost
-		for i := 0; i+1 < len(script); i += 2 {
-			op, arg := script[i], int64(script[i+1])
-			issued := ev.Stats().Issued
-			switch op % 5 {
-			case 0:
-				sc.Run(ssrc, 1+arg*13)
-				ev.Run(esrc, 1+arg*13)
-			case 1:
-				max := int(arg) % (sc.Config().WindowSize + 1)
-				sc.Drain(max)
-				ev.Drain(max)
-			case 2:
-				w := 1 + int(arg)%140
-				if err := sc.Resize(w); err != nil {
+	f.Add(entryGrowSeed, entryGrowScript)
+	f.Fuzz(func(t *testing.T, seed uint64, script []byte) { fuzzEngines(t, seed, script) })
+}
+
+// entryGrowSeed/entryGrowScript is a FuzzOooEngines seed whose long
+// RunWithLoads latencies stretch the live span past the event engine's
+// entry ring, so the ring's recycle guard grows it mid-run
+// (TestEntryRingGrowsAgainstScan pins that it does).
+var (
+	entryGrowSeed   = uint64(2718)
+	entryGrowScript = []byte{3, 99, 3, 255, 3, 99}
+)
+
+// fuzzEngines is FuzzOooEngines' body: it plays script against a scan and
+// an event core and returns the event core.
+func fuzzEngines(t *testing.T, seed uint64, script []byte) *Core {
+	t.Helper()
+	if len(script) > 64 {
+		script = script[:64]
+	}
+	sc, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineScan)
+	ev, _ := NewWithEngine(Config{WindowSize: 32, IssueWidth: 4}, EngineEvent)
+	ssrc := &fuzzSource{l: lcg{x: seed}}
+	esrc := &fuzzSource{l: lcg{x: seed}}
+	sl := &lcg{x: seed ^ 0xabcdef}
+	el := &lcg{x: seed ^ 0xabcdef}
+	type ghost struct {
+		c   *Core
+		src *fuzzSource
+	}
+	var ghosts []ghost
+	for i := 0; i+1 < len(script); i += 2 {
+		op, arg := script[i], int64(script[i+1])
+		issued := ev.Stats().Issued
+		switch op % 5 {
+		case 0:
+			sc.Run(ssrc, 1+arg*13)
+			ev.Run(esrc, 1+arg*13)
+		case 1:
+			max := int(arg) % (sc.Config().WindowSize + 1)
+			sc.Drain(max)
+			ev.Drain(max)
+		case 2:
+			w := 1 + int(arg)%140
+			if err := sc.Resize(w); err != nil {
+				t.Fatal(err)
+			}
+			if err := ev.Resize(w); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			rpi := float64(arg%100) / 100
+			sc.RunWithLoads(ssrc, 1+arg*7, rpi, sl.memLat)
+			ev.RunWithLoads(esrc, 1+arg*7, rpi, el.memLat)
+		default:
+			// Continue on clones. The discarded originals resize away
+			// and keep pace with the clones on sources of their own, so
+			// any slice a clone still shares with its original corrupts
+			// the clone and shows up as a divergence from the scan
+			// engine.
+			osc, oev := sc, ev
+			sc, ev = sc.Clone(), ev.Clone()
+			w := 1 + (int(arg)+17)%140
+			for _, o := range []*Core{osc, oev} {
+				if err := o.Resize(w); err != nil {
 					t.Fatal(err)
 				}
-				if err := ev.Resize(w); err != nil {
-					t.Fatal(err)
-				}
-			case 3:
-				rpi := float64(arg%100) / 100
-				sc.RunWithLoads(ssrc, 1+arg*7, rpi, sl.memLat)
-				ev.RunWithLoads(esrc, 1+arg*7, rpi, el.memLat)
-			default:
-				// Continue on clones. The discarded originals resize away
-				// and keep pace with the clones on sources of their own, so
-				// any slice a clone still shares with its original corrupts
-				// the clone and shows up as a divergence from the scan
-				// engine.
-				osc, oev := sc, ev
-				sc, ev = sc.Clone(), ev.Clone()
-				w := 1 + (int(arg)+17)%140
-				for _, o := range []*Core{osc, oev} {
-					if err := o.Resize(w); err != nil {
-						t.Fatal(err)
-					}
-					ghosts = append(ghosts, ghost{c: o, src: &fuzzSource{l: lcg{x: seed ^ uint64(len(ghosts)+1)*0x9e3779b9}}})
-				}
-			}
-			if d := ev.Stats().Issued - issued; d > 0 {
-				for _, g := range ghosts {
-					g.c.Run(g.src, d)
-				}
-			}
-			if a, b := sc.Stats(), ev.Stats(); a != b {
-				t.Fatalf("op %d (%d,%d): scan %+v != event %+v", i/2, op, arg, a, b)
-			}
-			if a, b := sc.Occupancy(), ev.Occupancy(); a != b {
-				t.Fatalf("op %d: occupancy scan %d != event %d", i/2, a, b)
-			}
-			if sl.x != el.x {
-				t.Fatalf("op %d: memLat call sequences diverged", i/2)
+				ghosts = append(ghosts, ghost{c: o, src: &fuzzSource{l: lcg{x: seed ^ uint64(len(ghosts)+1)*0x9e3779b9}}})
 			}
 		}
-	})
+		if d := ev.Stats().Issued - issued; d > 0 {
+			for _, g := range ghosts {
+				g.c.Run(g.src, d)
+			}
+		}
+		if a, b := sc.Stats(), ev.Stats(); a != b {
+			t.Fatalf("op %d (%d,%d): scan %+v != event %+v", i/2, op, arg, a, b)
+		}
+		if a, b := sc.Occupancy(), ev.Occupancy(); a != b {
+			t.Fatalf("op %d: occupancy scan %d != event %d", i/2, a, b)
+		}
+		if sl.x != el.x {
+			t.Fatalf("op %d: memLat call sequences diverged", i/2)
+		}
+	}
+	return ev
+}
+
+func TestEntryRingGrowsAgainstScan(t *testing.T) {
+	ev := fuzzEngines(t, entryGrowSeed, entryGrowScript)
+	if n := len(ev.ev.ents); n <= entRingSize(32) {
+		t.Fatalf("entry ring %d never grew past %d: the recycle guard is untested", n, entRingSize(32))
+	}
 }
 
 func TestRunWithLoadsCarryOver(t *testing.T) {

@@ -1,71 +1,53 @@
 package ooo
 
-import "capsim/internal/workload"
+import (
+	"math"
+	"math/bits"
 
-// This file is the event-driven wakeup/select engine (EngineEvent): the
-// algorithmically fast replacement for the per-cycle window scan, bit-exact
-// by construction.
+	"capsim/internal/workload"
+)
+
+// This file is the event-driven wakeup/select engine (EngineEvent), bit-exact
+// with the per-cycle window scan by construction.
 //
-// What the scan does, restated as events. The scan engine walks the window
-// oldest-first every cycle; an entry issues the first cycle in which (a) all
-// its producers' completion cycles are known, (b) its readiness cycle
-// max(producer completion) has arrived, and (c) fewer than IssueWidth older
-// ready entries exist this cycle. Because every producer has a strictly
-// smaller sequence number than its consumers, the oldest-first pass
-// guarantees a producer issuing in a pass is visible to its consumers later
-// in the same pass — the atomic-wakeup property that lets single-cycle
-// dependent pairs issue back to back.
+// The scan walks the window oldest-first every cycle; an entry issues the
+// first cycle in which all its producers have issued, its readiness cycle
+// max(producer completion) has arrived, and fewer than IssueWidth older
+// ready entries exist. A producer issuing in a pass is visible to its
+// (younger) consumers later in the same pass, so single-cycle dependent
+// pairs issue back to back.
 //
 // The event engine computes the same fixpoint without touching waiting
-// entries:
+// entries. Every live entry sits in a power-of-two ring indexed by
+// seq & emask that covers the live span [lo, seq).
 //
-//   - Wakeup: each window slot carries a consumer list threaded through the
-//     consumers' own slots (two link fields per consumer, one per source
-//     operand, so the lists need no allocation). When a producer issues, its
-//     completion cycle is pushed to exactly the entries that were waiting on
-//     it; an entry whose last pending producer resolves computes its
-//     readiness cycle max over sources — the same max the scan's resolve
-//     takes.
-//   - Select: entries whose readiness cycle has arrived sit in `eligible`, a
-//     min-heap of packed (seq<<slotBits | slot) keys — ordered by sequence
-//     number, with the slot index riding along so sift comparisons never
-//     dereference the slot slab. Each cycle pops up to IssueWidth keys.
+//   - Wakeup: each entry heads a list of its consumers, threaded through the
+//     consumers' own entries (one link per source operand, no allocation).
+//     Links hold the consumer's distance from the producer, not a ring
+//     position, so growing the ring never rewrites them. When a producer
+//     issues, its completion cycle reaches exactly the entries waiting on
+//     it; an entry whose last producer resolves takes the max over sources,
+//     as the scan's resolve does.
+//   - Select: entries whose readiness has arrived have their bit set in
+//     `elig`, a bitmap over the ring. Select is find-first-set from the
+//     oldest eligible seq, wrapping once — the paper's priority-encoder
+//     tree (Palacharla: the oldest ready entry wins). Each cycle takes up to
+//     IssueWidth bits in one forward sweep. Among entries whose readiness
+//     has arrived the scan issues strictly by age, however long ago each
+//     became ready, which is exactly the order of the sweep.
 //   - Future: entries ready within the next nearBuckets cycles sit in a
-//     rotating calendar — near[readyAt & nearMask] is a plain slice, append
-//     on wakeup, drained wholesale when its cycle arrives (the span never
-//     exceeds the bucket count, so a bucket holds exactly one cycle's
-//     entries). Entries ready further out (long RunWithLoads stalls) go to
-//     `far`, a min-heap ordered by (readyAt, seq). Completion latencies in
-//     the paper's workloads are single digits, so the far heap is cold.
+//     rotating calendar (near[readyAt & nearMask], drained wholesale when
+//     its cycle arrives); later ones (long RunWithLoads stalls) go to `far`,
+//     a min-heap by (readyAt, seq).
 //
-// Why seq-ordered eligibility (rather than one (ready, seq) structure)
-// reproduces the oldest-first priority encoder exactly: among entries whose
-// readiness has arrived, the scan issues strictly by seq — how long ago an
-// entry became ready is irrelevant, only age is — so leftover entries (ready
-// in earlier cycles but squeezed out by the width limit) must merge with
-// entries becoming ready this cycle in pure seq order. That is precisely the
-// calendar/eligible split: the calendar needs readiness order only to find
-// which entries become eligible at each cycle boundary; once eligible, seq
-// alone decides. A single heap ordered by (ready, seq) would be wrong: it
-// would prefer an entry that became ready earlier over an older entry that
-// became ready later, which a priority encoder never does.
-//
-// Mid-select wakeups preserve the same-pass visibility invariant: a consumer
-// woken by an issue this cycle has a larger seq than the issuing producer,
-// so pushing it into `eligible` mid-pass keeps the heap's extraction order
-// identical to the scan's single oldest-first walk.
+// A consumer woken mid-select has a larger seq than the issuing producer, so
+// its bit lies ahead of the sweep and the same sweep reaches it, exactly as
+// the scan's single oldest-first walk would.
 
-// nilLink terminates consumer lists.
-const nilLink = int32(-1)
-
-// slotBits is the width of the slot-index field in packed eligible keys.
-// Window sizes are capped below maxDist = 1<<11, so a slot index always
-// fits; seq occupies the bits above and dominates the ordering (seqs are
-// unique, so the slot bits never decide a comparison).
-const (
-	slotBits = 11
-	slotMask = 1<<slotBits - 1
-)
+// nilLink terminates consumer lists. A live link is (consumer seq − producer
+// seq)<<1 | source index, and consumers are strictly younger, so no live
+// link is 0 and a zeroed entry has an empty list.
+const nilLink = int32(0)
 
 // nearBuckets is the rotating-calendar span: wakeups landing within this
 // many cycles take the O(1) bucket path; later ones take the far heap.
@@ -75,81 +57,80 @@ const (
 	nearMask    = nearBuckets - 1
 )
 
-// eslot is one window entry in the event engine's slab. Slots are reused
-// through the free list; indices are stable handles while an entry is live.
-type eslot struct {
-	seq     int64 // dynamic instruction number (issue priority)
+// eent is one window entry of the event engine, at ents[seq & emask].
+type eent struct {
 	readyAt int64 // max completion cycle over resolved sources so far
 	lat     int64 // completion latency beyond issue
-	head    int32 // consumer list head: handle = consumerSlot<<1 | srcIndex
+	head    int32 // consumer list head (see nilLink)
 	next    [2]int32
 	npend   int32 // producers still unissued
 }
 
-// farEnt is one far-calendar entry: the readiness cycle and the packed
-// (seq, slot) key, kept inline so heap sifts stay within one contiguous
-// array.
+// farEnt is one far-calendar entry: the readiness cycle and the seq.
 type farEnt struct {
 	ready int64
-	key   int64
+	seq   int64
 }
 
-// eventState is the event engine's per-core state. All capacity is reserved
-// in init/grow; the steady-state hot path performs no allocation (bucket and
-// heap slices keep their capacity across drains).
+// eventState is the event engine's per-core state. The steady-state hot path
+// performs no allocation (bucket and heap slices keep their capacity).
 type eventState struct {
-	slots []eslot
-	free  []int32 // free slot indices (LIFO)
+	// ents[seq & emask] is the entry of seq. lo trails the oldest live
+	// (unissued, completion slot pending) seq; the dispatch guard advances
+	// it.
+	ents  []eent
+	emask int64
+	lo    int64
 	occ   int
 
-	// slotOf[seq & mask] is the live slot of a pending producer; valid only
-	// while done[seq & mask] == pending. Parallel to Core.done.
-	slotOf []int32
+	// elig is the eligibility bitmap over ents (bit seq & emask), nelig
+	// its popcount. hint is a lower bound on the eligible seqs (MaxInt64
+	// when none) where the select sweep starts, so it rarely reads an
+	// empty word.
+	elig  []uint64
+	nelig int
+	hint  int64
 
-	// eligible is a min-heap of packed seq<<slotBits|slot keys: entries
-	// whose readiness cycle has arrived, awaiting select.
-	eligible []int64
-	// near[readyAt & nearMask] holds entries becoming ready at that cycle,
-	// for readyAt within (cycle, cycle+nearBuckets].
-	near [nearBuckets][]int32
-	// far is a min-heap by (ready, key) for readiness beyond the calendar.
+	// near[readyAt & nearMask] holds the seqs of entries becoming ready at
+	// that cycle, for readyAt within (cycle, cycle+nearBuckets).
+	near [nearBuckets][]int64
+	// far is a min-heap by (ready, seq) for readiness beyond the calendar.
 	far []farEnt
 }
 
-// init sizes the slab and heaps for a window and the ring-parallel slot map.
-func (ev *eventState) init(window, ring int) {
-	ev.slots = make([]eslot, window)
-	ev.free = make([]int32, window)
-	for i := range ev.free {
-		// LIFO pop order: slot 0 first, purely cosmetic.
-		ev.free[i] = int32(window - 1 - i)
+// entRingSize is the entry-ring length for a window: twice the window (out
+// of order issue rarely stretches the live span further; the dispatch guard
+// grows the ring when it does), and at least one bitmap word.
+func entRingSize(window int) int {
+	r := 64
+	for r < 2*window {
+		r <<= 1
 	}
-	ev.slotOf = make([]int32, ring)
-	ev.eligible = make([]int64, 0, window)
+	return r
 }
 
-// grow extends the slab, free list and heap reservations to a new window
-// size (shrinking keeps capacity: Resize may grow again later and the slack
-// is small).
-func (ev *eventState) grow(window int) {
-	for len(ev.slots) < window {
-		ev.free = append(ev.free, int32(len(ev.slots)))
-		ev.slots = append(ev.slots, eslot{})
-	}
-	if cap(ev.eligible) < window {
-		h := make([]int64, len(ev.eligible), window)
-		copy(h, ev.eligible)
-		ev.eligible = h
+// rehome moves the span [lo, seq) into a new ring of n entries (a power of
+// two ≥ 64). Consumer links are seq-relative, so nothing is rewritten.
+func (ev *eventState) rehome(n int, seq int64) {
+	oldEnts, oldElig, oldMask := ev.ents, ev.elig, ev.emask
+	ev.ents = make([]eent, n)
+	ev.emask = int64(n - 1)
+	ev.elig = make([]uint64, n/64)
+	for s := ev.lo; s < seq; s++ {
+		i := s & oldMask
+		ev.ents[s&ev.emask] = oldEnts[i]
+		if oldElig[i>>6]&(1<<(i&63)) != 0 {
+			j := s & ev.emask
+			ev.elig[j>>6] |= 1 << (j & 63)
+		}
 	}
 }
 
 // clone deep-copies the event state; see Core.Clone.
 func (ev *eventState) clone() eventState {
 	n := *ev
-	n.slots = cloneCap(ev.slots)
-	n.free = cloneCap(ev.free)
-	n.slotOf = cloneCap(ev.slotOf)
-	n.eligible = cloneCap(ev.eligible)
+	n.ents = cloneCap(ev.ents)
+	n.elig = cloneCap(ev.elig)
 	for b := range ev.near {
 		n.near[b] = cloneCap(ev.near[b])
 	}
@@ -157,15 +138,44 @@ func (ev *eventState) clone() eventState {
 	return n
 }
 
+// setElig marks seq eligible for select.
+func (ev *eventState) setElig(seq int64) {
+	i := seq & ev.emask
+	ev.elig[i>>6] |= 1 << (i & 63)
+	ev.nelig++
+	if seq < ev.hint {
+		ev.hint = seq
+	}
+}
+
+// nextElig clears and returns the oldest eligible seq, sweeping the bitmap
+// from the ring position of from (at or below every eligible seq) and
+// wrapping once: the live span fits the ring, so ring order from there is
+// seq order. Requires nelig > 0.
+func (ev *eventState) nextElig(from int64) int64 {
+	i := from & ev.emask
+	w := int(i >> 6)
+	word := ev.elig[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(ev.elig) {
+			w = 0
+		}
+		word = ev.elig[w]
+	}
+	b := bits.TrailingZeros64(word)
+	ev.elig[w] &^= 1 << b
+	ev.nelig--
+	return from + (int64(w<<6|b)-i)&ev.emask
+}
+
 // fileReady routes an entry whose readiness cycle just became known into the
-// select pool (readiness arrived), the near calendar, or the far heap.
-func (c *Core) fileReady(si int32, s *eslot) {
+// select bitmap (readiness arrived), the near calendar, or the far heap.
+func (c *Core) fileReady(seq int64, e *eent) {
 	ev := &c.ev
-	key := s.seq<<slotBits | int64(si)
-	switch d := s.readyAt - c.cycle; {
+	switch d := e.readyAt - c.cycle; {
 	case d <= 0:
 		c.tal.filedDirect++
-		ev.pushEligible(key)
+		ev.setElig(seq)
 	case d < nearBuckets:
 		c.tal.filedNear++
 		// Strict inequality: dispatch files entries before this cycle's
@@ -174,38 +184,42 @@ func (c *Core) fileReady(si int32, s *eslot) {
 		// nearBuckets keeps every live bucket entry's readyAt within
 		// (cycle, cycle+nearBuckets), distinct mod nearBuckets and never
 		// aliasing the current cycle's bucket.
-		b := s.readyAt & nearMask
-		ev.near[b] = append(ev.near[b], si)
+		b := e.readyAt & nearMask
+		ev.near[b] = append(ev.near[b], seq)
 	default:
 		c.tal.filedFar++
-		ev.pushFar(farEnt{ready: s.readyAt, key: key})
+		ev.pushFar(farEnt{ready: e.readyAt, seq: seq})
 	}
 }
 
-// dispatchEvent dispatches n instructions: allocate a slot, resolve each
-// source against the completion ring, and either link the entry onto the
-// pending producers' consumer lists or, with all sources resolved, file it
-// directly into the ready structures. A dispatched entry whose readiness
-// cycle has already arrived is eligible in this very cycle's select, exactly
-// as the scan (which dispatches before its wakeup+select pass) would see it.
+// dispatchEvent dispatches n instructions: claim the ring entry for the new
+// seq, resolve each source against the completion ring, and either link the
+// entry onto the pending producers' consumer lists or, with all sources
+// resolved, file it directly into the ready structures. A dispatched entry
+// whose readiness cycle has already arrived is eligible in this very cycle's
+// select, exactly as the scan (which dispatches before its wakeup+select
+// pass) would see it.
 func (c *Core) dispatchEvent(stream workload.InstrSource, n int) {
 	ev := &c.ev
 	for i := 0; i < n; i++ {
 		in := stream.Next()
 		c.recycleGuard()
 		seq := c.seq
+		// Entry-ring recycle guard: the entry for seq must not still
+		// belong to a live instruction. lo trails the oldest live seq
+		// and catches up only here, when the span reaches the ring.
+		if seq-ev.lo >= int64(len(ev.ents)) {
+			for ev.lo < seq && c.done[ev.lo&c.mask] != pending {
+				ev.lo++
+			}
+			if seq-ev.lo >= int64(len(ev.ents)) {
+				ev.rehome(2*len(ev.ents), seq)
+			}
+		}
 		c.seq++
 		c.stats.Instrs++
-		lat := c.instrLat(in)
-
-		si := ev.free[len(ev.free)-1]
-		ev.free = ev.free[:len(ev.free)-1]
-		s := &ev.slots[si]
-		s.seq, s.lat = seq, lat
-		s.readyAt = 0
-		s.npend = 0
-		s.head = nilLink
-		s.next[0], s.next[1] = nilLink, nilLink
+		e := &ev.ents[seq&ev.emask]
+		*e = eent{lat: c.instrLat(in)}
 
 		for k := 0; k < 2; k++ {
 			p := c.producer(seq, in.Src[k])
@@ -214,20 +228,19 @@ func (c *Core) dispatchEvent(stream workload.InstrSource, n int) {
 			}
 			t, pend := c.lookupDone(p)
 			if pend {
-				ps := ev.slotOf[p&c.mask]
-				s.next[k] = ev.slots[ps].head
-				ev.slots[ps].head = si<<1 | int32(k)
-				s.npend++
-			} else if t > s.readyAt {
-				s.readyAt = t
+				pe := &ev.ents[p&ev.emask]
+				e.next[k] = pe.head
+				pe.head = int32(seq-p)<<1 | int32(k)
+				e.npend++
+			} else if t > e.readyAt {
+				e.readyAt = t
 			}
 		}
 
 		c.done[seq&c.mask] = pending
-		ev.slotOf[seq&c.mask] = si
 		ev.occ++
-		if s.npend == 0 {
-			c.fileReady(si, s)
+		if e.npend == 0 {
+			c.fileReady(seq, e)
 		}
 	}
 }
@@ -251,7 +264,7 @@ func (c *Core) dispatchEvent(stream workload.InstrSource, n int) {
 // chain down to an oldest entry whose sources are all resolved.
 func (c *Core) idleSkip() int64 {
 	ev := &c.ev
-	if len(ev.eligible) > 0 || len(ev.near[c.cycle&nearMask]) > 0 {
+	if ev.nelig > 0 || len(ev.near[c.cycle&nearMask]) > 0 {
 		return 0
 	}
 	if len(ev.far) > 0 && ev.far[0].ready <= c.cycle {
@@ -285,105 +298,69 @@ func (c *Core) issueCycleEvent() {
 	// exactly the entries with readyAt == cycle (the span invariant);
 	// the far heap surfaces anything longer-latency that is now due.
 	if b := c.cycle & nearMask; len(ev.near[b]) > 0 {
-		for _, si := range ev.near[b] {
-			s := &ev.slots[si]
-			ev.pushEligible(s.seq<<slotBits | int64(si))
+		for _, s := range ev.near[b] {
+			ev.setElig(s)
 		}
 		ev.near[b] = ev.near[b][:0]
 	}
 	for len(ev.far) > 0 && ev.far[0].ready <= c.cycle {
-		ev.pushEligible(ev.popFar().key)
+		ev.setElig(ev.popFar().seq)
+	}
+	if ev.nelig == 0 {
+		return
 	}
 
-	issued := 0
-	for issued < c.cfg.IssueWidth && len(ev.eligible) > 0 {
-		si := int32(ev.popEligible() & slotMask)
-		s := &ev.slots[si]
-		t := c.cycle + s.lat
-		c.done[s.seq&c.mask] = t
+	from := ev.hint
+	for issued := 0; issued < c.cfg.IssueWidth && ev.nelig > 0; issued++ {
+		s := ev.nextElig(from)
+		from = s + 1
+		e := &ev.ents[s&ev.emask]
+		t := c.cycle + e.lat
+		c.done[s&c.mask] = t
 		c.stats.Issued++
-		issued++
 		ev.occ--
 
 		// Producer-completion wakeup: push t to every consumer that was
 		// waiting on this entry. Consumers have larger seqs, so any that
-		// become eligible merge behind the current heap position —
-		// preserving the scan's same-pass visibility.
-		h := s.head
-		s.head = nilLink
+		// become eligible land ahead of the sweep — preserving the scan's
+		// same-pass visibility.
+		h := e.head
+		e.head = nilLink
 		for h != nilLink {
 			c.tal.wakeups++
-			ci := h >> 1
+			cs := s + int64(h>>1)
 			k := h & 1
-			cs := &ev.slots[ci]
-			h = cs.next[k]
-			cs.next[k] = nilLink
-			if t > cs.readyAt {
-				cs.readyAt = t
+			ce := &ev.ents[cs&ev.emask]
+			h = ce.next[k]
+			ce.next[k] = nilLink
+			if t > ce.readyAt {
+				ce.readyAt = t
 			}
-			cs.npend--
-			if cs.npend == 0 {
-				c.fileReady(ci, cs)
+			ce.npend--
+			if ce.npend == 0 {
+				c.fileReady(cs, ce)
 			}
 		}
-		ev.free = append(ev.free, si)
+	}
+	// Entries left eligible were squeezed out by the width limit, so all
+	// lie at or after the sweep position.
+	ev.hint = from
+	if ev.nelig == 0 {
+		ev.hint = math.MaxInt64
 	}
 }
 
-// --- heaps ---------------------------------------------------------------
+// --- far heap --------------------------------------------------------------
 //
-// Hand-rolled binary heaps with inline keys: sift comparisons are plain
-// int64 compares within one contiguous array — no pointer chase into the
-// slot slab, no interface box, no callback (container/heap would force
-// both in the hottest loop).
+// A hand-rolled binary heap with inline keys: sift comparisons stay within
+// one contiguous array — no interface box, no callback.
 
-func (ev *eventState) pushEligible(key int64) {
-	h := append(ev.eligible, key)
-	ev.eligible = h
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-}
-
-func (ev *eventState) popEligible() int64 {
-	h := ev.eligible
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	ev.eligible = h[:n]
-	h = h[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h[r] < h[l] {
-			m = r
-		}
-		if h[i] <= h[m] {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-	return top
-}
-
-// farLess orders far entries by (ready, key); keys embed seq in their high
-// bits, so the tiebreak is by age, mirroring the calendar-drain order.
+// farLess orders far entries by (ready, seq), the calendar-drain order.
 func farLess(a, b farEnt) bool {
 	if a.ready != b.ready {
 		return a.ready < b.ready
 	}
-	return a.key < b.key
+	return a.seq < b.seq
 }
 
 func (ev *eventState) pushFar(e farEnt) {

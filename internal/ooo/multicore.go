@@ -3,6 +3,7 @@ package ooo
 import (
 	"fmt"
 
+	"capsim/internal/obs"
 	"capsim/internal/workload"
 )
 
@@ -146,6 +147,13 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 		before[i] = c.stats
 		target[i] = c.stats.Issued + n
 	}
+	var prog []progress // the progress guard, under -obs-assert only
+	if obs.AssertEnabled() {
+		prog = make([]progress, k)
+		for i, c := range mc.cores {
+			prog[i] = c.newProgress()
+		}
+	}
 	for {
 		done := true
 		for i, c := range mc.cores {
@@ -166,6 +174,9 @@ func (mc *MultiCore) runEach(src workload.InstrSource, n int64) []Stats {
 					break
 				}
 				c.Step(cur)
+				if prog != nil {
+					c.watch(&prog[i])
+				}
 			}
 			// Only a core that is still short after draining its lookahead
 			// forces a refill; marking done=false up front would append a

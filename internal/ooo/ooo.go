@@ -22,15 +22,18 @@
 //     oldest-first, waking and selecting in one pass. Cost O(cycles · W).
 //   - EngineEvent (what New builds) is the event-driven equivalent:
 //     per-producer consumer lists fire wakeups the moment a producer's
-//     completion cycle becomes known, feeding a ready structure ordered so
-//     select pops oldest-first. Cost O(instructions · log W) — proportional to work
+//     completion cycle becomes known, setting the entry's bit in an
+//     eligibility bitmap over a seq-indexed entry ring; select is
+//     find-first-set from the oldest live seq. Cost is proportional to work
 //     issued, not cycles × window. See event.go for the invariants that make
 //     it bit-identical to the scan.
 package ooo
 
 import (
 	"fmt"
+	"math"
 
+	"capsim/internal/obs"
 	"capsim/internal/workload"
 )
 
@@ -200,7 +203,8 @@ func NewWithEngine(cfg Config, e Engine) (*Core, error) {
 		mask:   int64(r - 1),
 	}
 	if e == EngineEvent {
-		c.ev.init(cfg.WindowSize, r)
+		c.ev.rehome(entRingSize(cfg.WindowSize), 0)
+		c.ev.hint = math.MaxInt64
 	} else {
 		c.window = make([]entry, 0, cfg.WindowSize)
 	}
@@ -244,8 +248,16 @@ func (c *Core) Occupancy() int {
 func (c *Core) Run(stream workload.InstrSource, n int64) Stats {
 	before := c.stats
 	target := c.stats.Issued + n
-	for c.stats.Issued < target {
-		c.Step(stream)
+	if obs.AssertEnabled() {
+		p := c.newProgress()
+		for c.stats.Issued < target {
+			c.Step(stream)
+			c.watch(&p)
+		}
+	} else {
+		for c.stats.Issued < target {
+			c.Step(stream)
+		}
 	}
 	c.assertCheck()
 	return c.stats.Sub(before)
@@ -459,11 +471,14 @@ func (c *Core) resolve(e *entry) int64 {
 // occupancy is at most max, modelling the cleanup required before disabling
 // queue entries when downsizing (paper Sections 4.2 and 5.1). The stall
 // cycles are recorded in DrainStalls. Entries whose operands are not yet
-// ready simply wait; plentiful functional units guarantee forward progress.
+// ready simply wait; plentiful functional units guarantee forward progress
+// (under -obs-assert a progress guard fails a drain that cannot finish).
 func (c *Core) Drain(max int) {
 	if max < 0 {
 		max = 0
 	}
+	guard := obs.AssertEnabled()
+	p := c.newProgress()
 	for c.Occupancy() > max {
 		c.cycle++
 		c.stats.Cycles++
@@ -478,6 +493,9 @@ func (c *Core) Drain(max int) {
 		} else {
 			c.issueCycle()
 		}
+		if guard {
+			c.watch(&p)
+		}
 	}
 }
 
@@ -485,9 +503,10 @@ func (c *Core) Drain(max int) {
 // immediate (newly enabled entries start empty). Returns an error for
 // non-positive or unsupported sizes.
 //
-// All capacity — the scan window's backing slice, the event engine's slab,
-// heaps and free list, and the completion ring — is reserved here, up front,
-// so the per-cycle dispatch and issue paths run allocation-free afterwards.
+// All capacity — the scan window's backing slice, the event engine's entry
+// ring and bitmap, and the completion ring — is reserved here, up front, so
+// the per-cycle dispatch and issue paths run allocation-free afterwards
+// (only a recycle guard, on pathological latencies, grows a ring later).
 func (c *Core) Resize(newSize int) error {
 	if newSize < 1 || newSize >= maxDist {
 		return fmt.Errorf("ooo: window size %d out of range", newSize)
@@ -500,7 +519,11 @@ func (c *Core) Resize(newSize int) error {
 		c.growRing(need)
 	}
 	if c.engine == EngineEvent {
-		c.ev.grow(newSize)
+		// The entry ring grows with the window and never shrinks (Resize
+		// may grow again later and the slack is small).
+		if need := entRingSize(newSize); need > len(c.ev.ents) {
+			c.ev.rehome(need, c.seq)
+		}
 	} else if newSize > cap(c.window) {
 		w := make([]entry, len(c.window), newSize)
 		copy(w, c.window)
@@ -511,9 +534,8 @@ func (c *Core) Resize(newSize int) error {
 	return nil
 }
 
-// growRing rehomes the completion ring (and the event engine's parallel
-// slot-index ring) into a larger power-of-two array, preserving the slots of
-// every sequence number the old ring still covered. Slots older than the old
+// growRing rehomes the completion ring into a larger power-of-two array,
+// preserving the slots of every sequence number the old ring still covered. Slots older than the old
 // ring's span land zeroed, which lookupDone's recycling rule already treats
 // as retired-with-result-available.
 func (c *Core) growRing(need int) {
@@ -528,19 +550,12 @@ func (c *Core) growRing(need int) {
 	for s := lo; s < c.seq; s++ {
 		c.done[s&c.mask] = old[s&oldMask]
 	}
-	if c.engine == EngineEvent {
-		oldSlot := c.ev.slotOf
-		c.ev.slotOf = make([]int32, need)
-		for s := lo; s < c.seq; s++ {
-			c.ev.slotOf[s&c.mask] = oldSlot[s&oldMask]
-		}
-	}
 }
 
 // Clone returns an independent deep copy of the core: the scan window, the
-// completion ring, the event engine's slab, free list, slot map, eligible
-// pool, calendar buckets and far heap, plus statistics, the load fields and
-// the telemetry tallies. Every slice keeps its capacity, so the clone runs
+// completion ring, the event engine's entry ring, eligibility bitmap,
+// calendar buckets and far heap, plus statistics, the load fields and the
+// telemetry tallies. Every slice keeps its capacity, so the clone runs
 // as allocation-free as its parent. Fed the same instructions, a clone and
 // its parent produce identical statistics from here on.
 //

@@ -166,13 +166,15 @@ func (s *Server) runCtx(reqCtx context.Context, req *RunRequest) (context.Contex
 	if timeout > 0 {
 		ctx, tcancel = context.WithTimeout(ctx, timeout)
 	}
+	// Every request gets a budget of its own, so concurrent requests
+	// never share (or starve each other of) workers.
 	workers := req.Parallel
-	if workers > s.opt.MaxParallel {
+	if workers <= 0 {
+		workers = sweep.DefaultWorkers()
+	} else if workers > s.opt.MaxParallel {
 		workers = s.opt.MaxParallel
 	}
-	if workers > 0 {
-		ctx = sweep.WithWorkers(ctx, workers)
-	}
+	ctx = sweep.WithWorkers(ctx, workers)
 	return ctx, func() {
 		tcancel()
 		stop()

@@ -326,3 +326,125 @@ func TestRunDeterministicUnderRace(t *testing.T) {
 		}
 	}
 }
+
+// peakCounter tracks how many jobs run at once.
+type peakCounter struct{ cur, peak atomic.Int32 }
+
+func (p *peakCounter) enter() {
+	n := p.cur.Add(1)
+	for {
+		old := p.peak.Load()
+		if n <= old || p.peak.CompareAndSwap(old, n) {
+			return
+		}
+	}
+}
+
+func (p *peakCounter) leave() { p.cur.Add(-1) }
+
+// TestBudgetBoundsNestedPasses: one budget bounds a whole tree of passes.
+// Every outer job runs a nested pass (the shape of an experiment list whose
+// experiments sweep their rows); leaf jobs never exceed the budget at once,
+// where per-pass worker pools would reach workers² of them.
+func TestBudgetBoundsNestedPasses(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		var leaves peakCounter
+		ctx := WithWorkers(bg, workers)
+		got, err := RunCtx(ctx, 6, func(o int) ([]int, error) {
+			return RunCtx(ctx, 8, func(i int) (int, error) {
+				leaves.enter()
+				defer leaves.leave()
+				time.Sleep(200 * time.Microsecond)
+				return o*10 + i, nil
+			})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, row := range got {
+			for i, v := range row {
+				if v != o*10+i {
+					t.Fatalf("workers=%d: nested result[%d][%d]=%d", workers, o, i, v)
+				}
+			}
+		}
+		if p := leaves.peak.Load(); p > int32(workers) {
+			t.Errorf("workers=%d: %d leaf jobs ran at once", workers, p)
+		}
+		if workers > 1 && leaves.peak.Load() < 2 {
+			t.Errorf("workers=%d: jobs never overlapped; the budget was not used", workers)
+		}
+	}
+}
+
+// TestBudgetTokenPassesToInnerPass: a helper whose pass runs out of jobs
+// hands its token to the newest pass that still has some. The outer pass
+// has two jobs: job 1 ends at once, so its helper's token must reach job 0's
+// nested pass, whose jobs then overlap.
+func TestBudgetTokenPassesToInnerPass(t *testing.T) {
+	ctx := WithWorkers(bg, 2)
+	var inner peakCounter
+	release := make(chan struct{})
+	_, err := RunCtx(ctx, 2, func(o int) (int, error) {
+		if o == 1 {
+			return 0, nil
+		}
+		_, err := RunCtx(ctx, 4, func(i int) (int, error) {
+			inner.enter()
+			defer inner.leave()
+			if i < 2 {
+				// The first two jobs wait for each other, so they can
+				// only finish side by side.
+				select {
+				case release <- struct{}{}:
+				case <-release:
+				case <-time.After(5 * time.Second):
+					return 0, fmt.Errorf("job %d ran alone", i)
+				}
+			}
+			return i, nil
+		})
+		return 0, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestJointJoin: a goroutine joining a running pass works on its
+// unclaimed jobs; every job runs exactly once and lands at its index.
+func TestJointJoin(t *testing.T) {
+	var j Joint
+	j.Join() // no pass running: a no-op
+	started, joined := make(chan struct{}), make(chan struct{})
+	var runs [8]atomic.Int32
+	var got []int
+	var err error
+	go func() {
+		defer close(joined)
+		<-started
+		j.Join()
+	}()
+	got, err = RunJoint(WithWorkers(bg, 1), &j, len(runs), func(i int) (int, error) {
+		runs[i].Add(1)
+		if i == 0 {
+			close(started)
+			// Job 0 holds the only budget slot until the joiner has run
+			// job 1.
+			for runs[1].Load() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		return i * i, nil
+	})
+	<-joined
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i || runs[i].Load() != 1 {
+			t.Fatalf("job %d: result %d, ran %d times", i, v, runs[i].Load())
+		}
+	}
+	j.Join() // the pass is over: a no-op again
+}

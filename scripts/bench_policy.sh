@@ -6,9 +6,13 @@
 # the same Section 6 cells — turb3d and vortex with their candidate size
 # pairs × {fixed(0), fixed(1), interval-adaptive} × switch penalty
 # {0, 50, 200} — simulated once on a private QueueMachine per cell (direct)
-# and once through core.RunPolicyStudy (replay: fixed cells replay one
-# shared interval family per application, the adaptive cell races alone).
-# Every iteration starts from cold trace stores and interval families.
+# and once as production runs them (replay: fixed cells replay one shared
+# interval family per application and size, and the three penalties'
+# adaptive cells race as columns of one core.MultiPolicy.Race). Both legs
+# run on one sweep worker; every iteration starts from cold trace stores
+# and interval families. TestPolicyStudyReplayShares (bench_test.go) is the
+# deterministic companion: the replay's policy.core_cells / policy.cells
+# must not grow.
 #
 # Each benchmark runs 5 times, alternating direct and replay so host
 # speed drift hits both alike; the gate compares their median ns/op and
